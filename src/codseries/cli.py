@@ -7,7 +7,9 @@ detected, 3 bad arguments.
 """
 
 import argparse
+import cmath
 import json
+import math
 import os
 import sys
 
@@ -16,7 +18,7 @@ import numpy as np
 from .engine import SeriesBlowUpError, StopPolicy, convergence_report, run_cod, run_cod_with_source
 from .exp_potential import ExpPotentialProblem, general_solution
 from .expressions import ExpressionError, parse_expression
-from .grids import Grid, GridFunction, read_csv, second_diff, write_csv
+from .grids import Grid, GridFunction, read_csv, second_diff, write_csv, write_rows
 from .oracles import rk4_oscillator
 from .oscillator import OscillatorProblem, build_scheme, power_series_solution, term_bound, upper_estimate
 from .stationary import PeriodicField, build_scheme as build_stationary_scheme, write_field_csv
@@ -37,15 +39,13 @@ class _Parser(argparse.ArgumentParser):
         self.exit(3, f"{self.prog}: error: {message}\n")
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
-
-
 def _as_float(params, key, positive=False):
     try:
         value = float(params[key])
     except (TypeError, ValueError):
         raise UsageError(f"{key} must be a number, got {params[key]!r}")
+    if not math.isfinite(value):
+        raise UsageError(f"{key} must be finite, got {value}")
     if positive and not value > 0:
         raise UsageError(f"{key} must be positive, got {value}")
     return value
@@ -63,9 +63,12 @@ def _as_int(params, key, minimum=None):
 
 def _as_complex(params, key):
     try:
-        return complex(str(params[key]).replace(" ", ""))
+        value = complex(str(params[key]).replace(" ", ""))
     except ValueError:
         raise UsageError(f"{key} must be a complex number, got {params[key]!r}")
+    if not cmath.isfinite(value):
+        raise UsageError(f"{key} must be finite, got {value}")
+    return value
 
 
 def _parse_config(path) -> dict:
@@ -136,8 +139,9 @@ def _cmd_oscillator(ns) -> int:
         sampled = read_csv(params["from_csv"])
         grid = sampled.grid
         w2_values = sampled.values
-        real = np.ascontiguousarray(sampled.values.real)
-        omega_fn = lambda t: complex(np.interp(t, grid.points(), real))
+        points = grid.points()
+        omega_fn = lambda t: (np.interp(t, points, w2_values.real)
+                              + 1j * np.interp(t, points, w2_values.imag))
     else:
         step = _as_float(params, "step", positive=True)
         t_max = _as_float(params, "t_max", positive=True)
@@ -156,20 +160,19 @@ def _cmd_oscillator(ns) -> int:
     run = run_cod(scheme, StopPolicy(tol=tol, max_terms=max_terms))
 
     oracle = rk4_oscillator(omega_fn, a, b, t_a, grid) if t_a == t_b else None
-    t = grid.points()
+    f = run.partial_sum.values
+    o = oracle.solution.values if oracle else np.full(grid.count, complex(np.nan, np.nan))
     with open(_out_path(params, "oscillator_solution.csv"), "w", encoding="ascii") as fh:
         fh.write("t,f_re,f_im,oracle_re,oracle_im\n")
-        for i in range(grid.count):
-            f = run.partial_sum.values[i]
-            o = oracle.solution.values[i] if oracle else complex(np.nan, np.nan)
-            fh.write(",".join(_fmt(v) for v in (t[i], f.real, f.imag, o.real, o.imag)) + "\n")
+        write_rows(fh, np.column_stack((grid.points(), f.real, f.imag, o.real, o.imag)))
 
     c_max = float(np.max(np.abs(problem.omega_sq.values)))
+    norms = run.term_sup_norms
+    bounds = [abs(a)] + [term_bound(n, abs(a), c_max, grid.end) for n in range(1, len(norms))]
     with open(_out_path(params, "oscillator_terms.csv"), "w", encoding="ascii") as fh:
         fh.write("n,term_sup_norm,term_bound\n")
-        for n, norm in enumerate(run.term_sup_norms):
-            bound = abs(a) if n == 0 else term_bound(n, abs(a), c_max, grid.end)
-            fh.write(f"{n},{_fmt(norm)},{_fmt(bound)}\n")
+        # term indices are small integers, which %.17g prints without a point
+        write_rows(fh, np.column_stack((np.arange(len(norms)), norms, bounds)))
 
     two_term = scheme.generating.values + scheme.cycle_map(scheme.generating).values
     report = convergence_report(scheme, run)
@@ -203,7 +206,7 @@ def _cmd_power_series(ns) -> int:
             t = t_max * i / points
             f = float(series.evaluate(t))
             upper = upper_estimate(alpha, t)
-            fh.write(f"{_fmt(t)},{_fmt(f)},{_fmt(upper)},{'true' if f < upper else 'false'}\n")
+            fh.write(f"{t:.17g},{f:.17g},{upper:.17g},{'true' if f < upper else 'false'}\n")
     return 0
 
 
@@ -235,9 +238,7 @@ def _cmd_exp_potential(ns) -> int:
     residual = np.abs(second_diff(psi, grid.step) + (m * m - amplitude * np.exp(x)) * psi)
     with open(_out_path(params, "exp_potential.csv"), "w", encoding="ascii") as fh:
         fh.write("x,psi_re,psi_im,residual_abs\n")
-        for i in range(grid.count):
-            fh.write(",".join(_fmt(v) for v in (x[i], psi[i].real, psi[i].imag,
-                                                residual[i])) + "\n")
+        write_rows(fh, np.column_stack((x, psi.real, psi.imag, residual)))
     return 0
 
 

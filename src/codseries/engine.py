@@ -66,13 +66,13 @@ class StopPolicy:
     divergence_factor: float = 10.0
 
     def __post_init__(self):
-        if not self.tol > 0:
-            raise ValueError(f"tol must be positive, got {self.tol}")
+        if not 0 < self.tol < np.inf:
+            raise ValueError(f"tol must be positive and finite, got {self.tol}")
         if self.max_terms < 1:
             raise ValueError(f"max_terms must be at least 1, got {self.max_terms}")
         if self.divergence_window < 1:
             raise ValueError("divergence_window must be at least 1")
-        if self.divergence_factor <= 1:
+        if not self.divergence_factor > 1:  # also rejects nan
             raise ValueError("divergence_factor must exceed 1")
 
 

@@ -7,6 +7,9 @@ Crank-Nicolson (its Hamiltonian matrix is rebuilt here from scratch), and
 the wave oracle is explicit leapfrog with a finite-difference Laplacian on
 a spectrally upsampled grid.  Every oracle reports a step-halving
 Richardson error estimate; trust it, not the nominal order.
+
+The RK4 oracle calls its profile ``omega_sq`` with arrays of times, a block
+at a time, so the profile must be vectorized; a scalar return is broadcast.
 """
 
 import numpy as np
@@ -34,33 +37,56 @@ class OracleResult:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _rk4_run(omega_sq: Callable[[float], complex], a: complex, b: complex,
+# RK4 steps sampled per omega_sq call: amortizes the call, keeps arrays small
+_RK4_CHUNK_STEPS = 2048
+
+
+def _rk4_samples(omega_sq, grid: Grid, lo: int, hi: int, substeps: int, h: float):
+    """w2 at t, t + h/2 and t + h for every RK4 step of grid intervals
+    ending at points lo..hi-1, as three nested lists (interval, substep).
+
+    The times are bit-for-bit the ones a scalar loop visits: each interval
+    starts at ``grid.start + (i - 1) * grid.step`` (the first one at
+    ``grid.start`` itself) and advances by repeated ``t += h``.
+    """
+    t = np.full((hi - lo, substeps), h)
+    t[:, 0] = grid.start + np.arange(lo - 1, hi - 1) * grid.step
+    if lo == 1:
+        t[0, 0] = grid.start
+    t = np.cumsum(t, axis=1)  # sequential, so each entry is exactly t += h
+    times = np.stack((t, t + 0.5 * h, t + h))
+    w2 = np.broadcast_to(np.asarray(omega_sq(times)), times.shape)
+    return w2.tolist()
+
+
+def _rk4_run(omega_sq: Callable[[np.ndarray], Any], a: complex, b: complex,
              grid: Grid, substeps: int) -> np.ndarray:
     h = grid.step / substeps
     f = np.empty(grid.count, dtype=complex)
     y1 = complex(a)
     y2 = complex(b)
     f[0] = y1
-    t = grid.start
-    for i in range(1, grid.count):
-        for _ in range(substeps):
-            k1a = y2
-            k1b = -omega_sq(t) * y1
-            k2a = y2 + 0.5 * h * k1b
-            k2b = -omega_sq(t + 0.5 * h) * (y1 + 0.5 * h * k1a)
-            k3a = y2 + 0.5 * h * k2b
-            k3b = -omega_sq(t + 0.5 * h) * (y1 + 0.5 * h * k2a)
-            k4a = y2 + h * k3b
-            k4b = -omega_sq(t + h) * (y1 + h * k3a)
-            y1 = y1 + (h / 6.0) * (k1a + 2.0 * k2a + 2.0 * k3a + k4a)
-            y2 = y2 + (h / 6.0) * (k1b + 2.0 * k2b + 2.0 * k3b + k4b)
-            t += h
-        t = grid.start + i * grid.step  # resync against accumulation drift
-        f[i] = y1
+    chunk = max(1, _RK4_CHUNK_STEPS // substeps)
+    for lo in range(1, grid.count, chunk):
+        hi = min(lo + chunk, grid.count)
+        w_start, w_mid, w_end = _rk4_samples(omega_sq, grid, lo, hi, substeps, h)
+        for i, row_start, row_mid, row_end in zip(range(lo, hi), w_start, w_mid, w_end):
+            for w0, wm, w1 in zip(row_start, row_mid, row_end):
+                k1a = y2
+                k1b = -w0 * y1
+                k2a = y2 + 0.5 * h * k1b
+                k2b = -wm * (y1 + 0.5 * h * k1a)
+                k3a = y2 + 0.5 * h * k2b
+                k3b = -wm * (y1 + 0.5 * h * k2a)
+                k4a = y2 + h * k3b
+                k4b = -w1 * (y1 + h * k3a)
+                y1 = y1 + (h / 6.0) * (k1a + 2.0 * k2a + 2.0 * k3a + k4a)
+                y2 = y2 + (h / 6.0) * (k1b + 2.0 * k2b + 2.0 * k3b + k4b)
+            f[i] = y1
     return f
 
 
-def rk4_oscillator(omega_sq: Callable[[float], complex], a: complex, b: complex,
+def rk4_oscillator(omega_sq: Callable[[np.ndarray], Any], a: complex, b: complex,
                    t0: float, grid: Grid, target_estimate: float = 1e-9,
                    max_refinements: int = 12) -> OracleResult:
     """RK4 reference for f'' + w2(t) f = 0, f(t0) = a, f'(t0) = b.
@@ -68,6 +94,9 @@ def rk4_oscillator(omega_sq: Callable[[float], complex], a: complex, b: complex,
     Both conditions sit at t0 (standard initial-value form), which must be
     the grid start.  The substep count doubles until the Richardson
     estimate drops below ``target_estimate``.
+
+    ``omega_sq`` is called with arrays of times and returns w2, real or
+    complex, at each of them; a scalar return is broadcast to every time.
     """
     if abs(t0 - grid.start) > 1e-12 * max(1.0, abs(grid.start)):
         raise ValueError("oracle expects t0 at the grid start")

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import CodScheme, SeriesRun, StopPolicy, run_cod, run_cod_with_source
+from .grids import write_rows
 
 __all__ = [
     "PeriodicField",
@@ -197,11 +198,11 @@ def write_field_csv(field: PeriodicField, path, meta_path=None):
     with open(path, "w", encoding="ascii") as fh:
         if field.dims == 1:
             fh.write("x,re,im\n")
-            for x, v in zip(field.axis_points(0), field.values):
-                fh.write(f"{x:.17g},{v.real:.17g},{v.imag:.17g}\n")
+            write_rows(fh, np.column_stack((field.axis_points(0), field.values.real,
+                                            field.values.imag)))
         else:
-            for row in field.values:
-                fh.write(",".join(f"{v.real:.17g},{v.imag:.17g}" for v in row) + "\n")
+            # a contiguous complex row viewed as floats is its re,im pairs
+            write_rows(fh, field.values.view(float))
     if meta_path is not None:
         meta = {
             "shape": list(field.shape),

@@ -23,7 +23,7 @@ import numpy as np
 from dataclasses import dataclass
 
 from .engine import CodScheme, SeriesRun, StopPolicy, run_cod
-from .grids import Grid, GridFunction, cumtrapz_from, second_diff, wavenumbers
+from .grids import Grid, GridFunction, cumtrapz_from, second_diff, wavenumbers, write_rows
 
 __all__ = [
     "SpaceTimeField",
@@ -165,8 +165,8 @@ def write_field_csv(field: SpaceTimeField, path, meta_path=None):
     import json
 
     with open(path, "w", encoding="ascii") as fh:
-        for row in field.values:
-            fh.write(",".join(f"{v.real:.17g},{v.imag:.17g}" for v in row) + "\n")
+        # a contiguous complex row viewed as floats is its re,im pairs
+        write_rows(fh, field.values.view(float))
     if meta_path is not None:
         meta = {
             "t_start": field.t_grid.start,

@@ -44,6 +44,17 @@ class TestOscillatorCommand:
                     "--out-dir", str(tmp_path)])
         assert code == 0
 
+    def test_from_csv_complex_w2_reaches_the_oracle(self, tmp_path):
+        # the oracle once interpolated only the real part: error 6.4e-2
+        grid = Grid.from_interval(0.0, 1.0, 1001)
+        w2 = 1.0 + 0.5j * np.sin(grid.points())
+        write_csv(GridFunction(grid, w2), tmp_path / "w2.csv")
+        code = run(["oscillator", "--from-csv", str(tmp_path / "w2.csv"),
+                    "--out-dir", str(tmp_path)])
+        assert code == 0
+        report = json.loads((tmp_path / "oscillator_report.json").read_text())
+        assert report["oracle_sup_error"] <= 1e-6
+
     def test_config_file_merged_and_overridden(self, tmp_path):
         config = tmp_path / "run.cfg"
         config.write_text("omega-sq = 1\nstep = 1e-2  # coarse\nmax-terms = 3\n")
@@ -72,6 +83,15 @@ class TestArgumentErrors:
 
     def test_bad_number(self, tmp_path):
         assert run(["oscillator", "--tol", "abc", "--out-dir", str(tmp_path)]) == 3
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--tol", "inf"), ("--tol", "nan"), ("--t-max", "inf"), ("--t-a", "nan"),
+        ("--a", "nan"), ("--b", "1+infj"),
+    ])
+    def test_non_finite_number(self, tmp_path, flag, value):
+        assert run(["oscillator", flag, value, "--step", "1e-2",
+                    "--out-dir", str(tmp_path)]) == 3
+        assert not (tmp_path / "oscillator_report.json").exists()
 
     def test_nonpositive_step(self, tmp_path):
         assert run(["oscillator", "--step", "-0.1", "--out-dir", str(tmp_path)]) == 3

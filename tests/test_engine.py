@@ -130,6 +130,11 @@ class TestStopping:
             StopPolicy(tol=0.0, max_terms=5)
         with pytest.raises(ValueError):
             StopPolicy(tol=1e-8, max_terms=0)
+        for tol in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="tol"):
+                StopPolicy(tol=tol, max_terms=5)
+        with pytest.raises(ValueError, match="divergence_factor"):
+            StopPolicy(tol=1e-8, max_terms=5, divergence_factor=float("nan"))
 
     def test_converged_final_terms_are_small(self):
         scheme = build_scheme(constant_omega_problem(1.0))

@@ -1,7 +1,10 @@
+import io
+
 import numpy as np
 import pytest
 
 from codseries.grids import (
+    _WRITE_BLOCK_VALUES,
     Grid,
     GridFunction,
     cumulative_integral,
@@ -15,6 +18,7 @@ from codseries.grids import (
     second_diff,
     wavenumbers,
     write_csv,
+    write_rows,
 )
 
 
@@ -229,3 +233,31 @@ def test_second_diff_axis():
     by_axis = second_diff(block, 0.1, axis=1)
     by_rows = np.stack([second_diff(block[i], 0.1) for i in range(5)], axis=0)
     assert np.allclose(by_axis, by_rows, atol=0.0)
+
+
+class TestWriteRows:
+    @staticmethod
+    def reference(table):
+        return "".join(",".join(f"{v:.17g}" for v in row) + "\n" for row in table)
+
+    @staticmethod
+    def written(table):
+        fh = io.StringIO()
+        write_rows(fh, table)
+        return fh.getvalue()
+
+    def test_special_values(self):
+        table = np.array([[np.nan, np.inf, -np.inf],
+                          [-0.0, 5e-324, 1e308],
+                          [0.1, -1.0 / 3.0, 2.0 ** 60]])
+        assert self.written(table) == self.reference(table)
+
+    def test_rows_not_a_multiple_of_the_block(self):
+        rng = np.random.default_rng(4)
+        table = rng.standard_normal((_WRITE_BLOCK_VALUES // 3 + 7, 5))
+        assert self.written(table) == self.reference(table)
+
+    def test_row_wider_than_a_block(self):
+        rng = np.random.default_rng(5)
+        table = rng.standard_normal((3, _WRITE_BLOCK_VALUES + 3)) * 1e-300
+        assert self.written(table) == self.reference(table)

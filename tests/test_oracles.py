@@ -10,7 +10,44 @@ from codseries.wave import WaveProblem
 TWO_PI = 2.0 * np.pi
 
 
+def scalar_rk4_run(omega_sq, a, b, grid, substeps):
+    """Reference: RK4 with one scalar omega_sq call per stage."""
+    h = grid.step / substeps
+    f = np.empty(grid.count, dtype=complex)
+    y1, y2 = complex(a), complex(b)
+    f[0] = y1
+    t = grid.start
+    for i in range(1, grid.count):
+        for _ in range(substeps):
+            k1a = y2
+            k1b = -omega_sq(t) * y1
+            k2a = y2 + 0.5 * h * k1b
+            k2b = -omega_sq(t + 0.5 * h) * (y1 + 0.5 * h * k1a)
+            k3a = y2 + 0.5 * h * k2b
+            k3b = -omega_sq(t + 0.5 * h) * (y1 + 0.5 * h * k2a)
+            k4a = y2 + h * k3b
+            k4b = -omega_sq(t + h) * (y1 + h * k3a)
+            y1 = y1 + (h / 6.0) * (k1a + 2.0 * k2a + 2.0 * k3a + k4a)
+            y2 = y2 + (h / 6.0) * (k1b + 2.0 * k2b + 2.0 * k3b + k4b)
+            t += h
+        t = grid.start + i * grid.step
+        f[i] = y1
+    return f
+
+
 class TestRk4:
+    @pytest.mark.parametrize("count, substeps", [(3000, 1), (3000, 3), (10, 700)])
+    @pytest.mark.parametrize("omega_sq", [
+        lambda t: 1.0 + 0.3 * t * t - 0.1 * t,
+        lambda t: (1.0 + 0.5j) - 0.2 * t,
+    ])
+    def test_matches_scalar_reference_loop(self, omega_sq, count, substeps):
+        # sampling w2 in blocks must visit the very same times and
+        # reproduce the scalar loop bit for bit, across block boundaries
+        grid = Grid.from_interval(-0.3, 0.4, count)
+        got = _rk4_run(omega_sq, 1.0, 0.5j, grid, substeps)
+        assert np.array_equal(got, scalar_rk4_run(omega_sq, 1.0, 0.5j, grid, substeps))
+
     def test_constant_frequency_cosine(self):
         grid = Grid.from_interval(0.0, 1.0, 201)
         result = rk4_oscillator(lambda t: 1.0, 1.0, 0.0, 0.0, grid)

@@ -118,6 +118,23 @@ class TestStopping:
         with pytest.raises(SeriesBlowUpError, match="series blow-up at term 2"):
             run_cod(scheme, StopPolicy(tol=1e-10, max_terms=10))
 
+    @pytest.mark.parametrize("bad", [np.nan, complex(0.0, np.nan), np.inf, complex(1.0, -np.inf)])
+    def test_non_finite_entry_raises_at_its_term(self, bad):
+        grid = Grid.from_interval(0.0, 1.0, 8)
+        calls = []
+
+        def cycle(f):
+            calls.append(f)
+            values = 0.5 * f.values
+            if len(calls) == 3:
+                values[4] = bad
+            return f.with_values(values)
+
+        scheme = CodScheme(cycle_map=cycle, generating=GridFunction(grid, np.ones(8)),
+                           defect_op=lambda f: f)
+        with pytest.raises(SeriesBlowUpError, match="series blow-up at term 3"):
+            run_cod(scheme, StopPolicy(tol=1e-10, max_terms=10))
+
     def test_max_terms_reported(self):
         grid = Grid.from_interval(0.0, 1.0, 8)
         run = run_cod(identity_scheme(grid, 1.001),
@@ -178,6 +195,24 @@ class TestSource:
         with pytest.raises(ValueError, match="g_inverse"):
             run_cod_with_source(scheme, scheme.generating,
                                 StopPolicy(tol=1e-8, max_terms=5))
+
+
+class TestSeedIsolation:
+    """Terms are summed in place, so the sum must never share the seed's memory."""
+
+    @pytest.mark.parametrize("omega", [1.0, 0.0])
+    def test_generating_unchanged_by_runs(self, omega):
+        scheme = build_scheme(constant_omega_problem(omega, count=201))
+        before = scheme.generating.values.copy()
+        policy = StopPolicy(tol=1e-10, max_terms=20)
+        plain = run_cod(scheme, policy)
+        assert np.array_equal(scheme.generating.values, before)
+        assert not np.shares_memory(plain.partial_sum.values, scheme.generating.values)
+        ones = GridFunction(scheme.generating.grid, np.ones(201))
+        driven = run_cod_with_source(scheme, ones, policy)
+        assert np.array_equal(scheme.generating.values, before)
+        assert np.array_equal(ones.values, np.ones(201))
+        assert not np.shares_memory(driven.partial_sum.values, scheme.generating.values)
 
 
 class TestDefect:

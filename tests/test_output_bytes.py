@@ -30,10 +30,15 @@ CORPUS = {
                              "--t-a", "0", "--t-b", "0.5"],
     "power-series": ["power-series", "--alpha", "0.5"],
     "exp-potential": ["exp-potential", "--m", "1.5", "--amplitude", "0.7"],
+    "exp-potential-c2": ["exp-potential", "--m", "1.5", "--amplitude", "0.7", "--c2", "0.5"],
     "stationary-1d": ["stationary", "--potential", "0.1*cos(x)"],
+    # Grid.periodic(0, L, 50).period is one ulp off L: the sidecar must carry L
+    "stationary-1d-size50": ["stationary", "--size", "50"],
     "stationary-2d": ["stationary", "--dims", "2", "--size", "32", "--variant",
                       "resolvent", "--source", "delta", "--energy", "-0.5",
                       "--potential", "0.2*(cos(x)+cos(y))"],
+    "stationary-2d-size50": ["stationary", "--dims", "2", "--size", "50", "--variant",
+                             "resolvent", "--source", "delta"],
     "tdse": ["tdse", "--size", "32", "--potential", "0.5*x^2", "--k0", "1",
              "--dt", "1e-2", "--t-final", "0.1"],
     "wave": ["wave", "--epsilon", "1+0.2*cos(x)", "--x-size", "32", "--t-max", "0.5",
@@ -44,6 +49,10 @@ GOLDEN = {
     'exp-potential': {
         'exp_potential.csv':
             '2470acd42ff45fe6fff9c761463e52efebe72218a3aa4b81a988f3e4caaf670c',
+    },
+    'exp-potential-c2': {
+        'exp_potential.csv':
+            '40b34e01fa50fdc08935b66c185ceb4af25d83ca2f00df1604afd97a002ed173',
     },
     'osc-damped': {
         'oscillator_report.json':
@@ -97,6 +106,14 @@ GOLDEN = {
         'stationary_report.json':
             'acd657bee0f172d2d4b8c6899e4c6fe87a33ae0b184118876cb5c78a5da85435',
     },
+    'stationary-1d-size50': {
+        'stationary_field.csv':
+            '1585c4b888a368c5e762f68fd1feeae8e68ab0d5bffa881ddec23a05d216dbc8',
+        'stationary_field.json':
+            'fe48d03e728fe6831891d3a9d67acf4e7529c4a697913120f1a1b8a37c6af03d',
+        'stationary_report.json':
+            'fc19b48df68ea7c4508c13a07b0065716fe7876084c0a220e9b1f2c8fb92b9f4',
+    },
     'stationary-2d': {
         'stationary_field.csv':
             'd20533018f23389ba26c36e3baceeaea41b704e5edd5968119a58b062c87418e',
@@ -104,6 +121,14 @@ GOLDEN = {
             '90c7ec1c979a57ef2c6c8658a4210eabf1dab9f1c0bdc8a6f4dab089fab09dd8',
         'stationary_report.json':
             '71aade34fb87e15757382a9acfef89869e90eedb1a590f99f2411df53e1ee2fd',
+    },
+    'stationary-2d-size50': {
+        'stationary_field.csv':
+            '33d2260230480eedec1fae22c1c0b2010e4f7133c9ffd30067acabba88624aec',
+        'stationary_field.json':
+            '62b6dac53a5ec0e73885fd7ebd31a5797890d590848eccb6944020e0e52ab687',
+        'stationary_report.json':
+            '49ba53d251d971c31ac211302c002acb3fb68c7a6f5a8b4d065e5ac3e9e58186',
     },
     'tdse': {
         'tdse_final.csv':

@@ -24,21 +24,10 @@ from .engine import (
     run_cod_with_source,
     v_apply,
 )
-from .grids import (
-    Grid,
-    GridFunction,
-    cumulative_integral,
-    dft,
-    first_derivative,
-    idft,
-    norms,
-    second_derivative,
-    wavenumbers,
-)
+from .grids import Grid, GridFunction, cumulative_integral, wavenumbers
 from .oscillator import OscillatorProblem, PowerSeriesSolution
-from .stationary import PeriodicField
 from .tdse import PropagatorStep, TdseSetup
-from .wave import SpaceTimeField, WaveProblem
+from .wave import WaveProblem
 
 __version__ = "0.1.0"
 
@@ -50,25 +39,18 @@ __all__ = [
     "Grid",
     "GridFunction",
     "OscillatorProblem",
-    "PeriodicField",
     "PowerSeriesSolution",
     "PropagatorStep",
     "SeriesBlowUpError",
     "SeriesRun",
-    "SpaceTimeField",
     "StopPolicy",
     "TdseSetup",
     "WaveProblem",
     "convergence_report",
     "cumulative_integral",
     "defect",
-    "dft",
-    "first_derivative",
-    "idft",
-    "norms",
     "run_cod",
     "run_cod_with_source",
-    "second_derivative",
     "v_apply",
     "wavenumbers",
 ]

@@ -21,7 +21,7 @@ from .expressions import ExpressionError, parse_expression
 from .grids import Grid, GridFunction, read_csv, second_diff, write_csv, write_rows
 from .oracles import rk4_oscillator
 from .oscillator import OscillatorProblem, build_scheme, power_series_solution, term_bound, upper_estimate
-from .stationary import PeriodicField, build_scheme as build_stationary_scheme, write_field_csv
+from .stationary import build_scheme as build_stationary_scheme, write_field_csv
 from .tdse import PropagatorStep, TdseSetup, normalize, propagate
 from .verification import run_all
 from .wave import WaveProblem, build_wave_scheme, write_field_csv as write_wave_csv
@@ -256,7 +256,7 @@ def _cmd_stationary(ns) -> int:
     dims = _as_int(params, "dims", minimum=1)
     if dims not in (1, 2):
         raise UsageError("dims must be 1 or 2")
-    size = _as_int(params, "size", minimum=4)
+    size = _as_int(params, "size")
     box = _as_float(params, "box", positive=True)
     energy = _as_float(params, "energy")
     variant = str(params["variant"])
@@ -275,32 +275,26 @@ def _cmd_stationary(ns) -> int:
         u_values = sampled.values
         size = sampled.grid.count
         box = sampled.grid.period
-    elif dims == 1:
-        expr = parse_expression(str(params["potential"]), ("x",))
-        x = np.arange(size) * (box / size)
-        u_values = np.broadcast_to(np.asarray(expr(x=x), dtype=complex), (size,))
-    else:
-        expr = parse_expression(str(params["potential"]), ("x", "y"))
-        axis = np.arange(size) * (box / size)
-        gx, gy = np.meshgrid(axis, axis, indexing="ij")
-        u_values = np.broadcast_to(np.asarray(expr(x=gx, y=gy), dtype=complex), (size, size))
+    if size < 4 or size % 2:
+        raise UsageError(f"size must be even and >= 4, got {size}")
+    axes = (Grid.periodic(0.0, box, size),) * dims
+    if not params["from_csv"]:
+        expr = parse_expression(str(params["potential"]), ("x", "y")[:dims])
+        points = np.meshgrid(*(g.points() for g in axes), indexing="ij")
+        u_values = expr(**dict(zip("xy", points)))
 
     shape = (size,) * dims
-    boxes = (box,) * dims
-    try:
-        potential = PeriodicField(boxes, u_values.reshape(shape))
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    potential = GridFunction(axes, np.broadcast_to(np.asarray(u_values, dtype=complex), shape))
     default_const = "1" if variant == "laplace" else "0"
     const = _as_complex({"psi_g_const": params["psi_g_const"] or default_const}, "psi_g_const")
-    psi_g = PeriodicField(boxes, np.full(shape, const, dtype=complex))
+    psi_g = GridFunction(axes, np.full(shape, const, dtype=complex))
 
     scheme = build_stationary_scheme(potential, energy, psi_g, variant)
     policy = StopPolicy(tol=tol, max_terms=max_terms)
     if source_kind == "delta":
         source_values = np.zeros(shape, dtype=complex)
         source_values[(0,) * dims] = 1.0
-        source = PeriodicField(boxes, source_values)
+        source = GridFunction(axes, source_values)
         run = run_cod_with_source(scheme, source, policy)
         report = convergence_report(scheme, run, source=source)
     else:
@@ -310,7 +304,7 @@ def _cmd_stationary(ns) -> int:
         "inverse laplacian maps the k=0 mode to 0; residuals retain the mean component"
     )
     write_field_csv(run.partial_sum, _out_path(params, "stationary_field.csv"),
-                    _out_path(params, "stationary_field.json"))
+                    _out_path(params, "stationary_field.json"), (box,) * dims)
     _write_report(_out_path(params, "stationary_report.json"), report)
     return _exit_code(run.stop_reason)
 
@@ -411,24 +405,17 @@ def _cmd_wave(ns) -> int:
     if params["snapshot"] is not None:
         t_snap = _as_float(params, "snapshot")
         try:
-            row = field.row(t_snap)
+            row = field.values[t_grid.index_of(t_snap)]
         except ValueError as exc:
             raise UsageError(str(exc))
-        write_csv(row, _out_path(params, "wave_snapshot.csv"))
+        write_csv(GridFunction(x_grid, row), _out_path(params, "wave_snapshot.csv"))
     return _exit_code(run.stop_reason)
 
 
 # -------------------------------------------------------------------- verify
 
 def _cmd_verify(ns) -> int:
-    jobs = 1
-    env = os.environ.get("COD_THREADS")
-    if env:
-        try:
-            jobs = max(1, int(env))
-        except ValueError:
-            raise UsageError(f"COD_THREADS must be an integer, got {env!r}")
-    results = run_all(quick=bool(ns.quick), jobs=jobs)
+    results = run_all(quick=bool(ns.quick))
     width = max(len(r.name) for r in results)
     for result in results:
         status = "PASS" if result.passed else "FAIL"
@@ -440,56 +427,29 @@ def _cmd_verify(ns) -> int:
 
 # ------------------------------------------------------------------- parsing
 
-def _add_common(sub):
-    sub.add_argument("--config", help="key=value config file; flags override it")
-    sub.add_argument("--out-dir", dest="out_dir", help="output directory (default .)")
+def _add_command(commands, name, help, defaults, handler):
+    """Subcommand with one ``--key-name`` flag per key of ``defaults``."""
+    p = commands.add_parser(name, help=help)
+    for key in defaults:
+        p.add_argument("--" + key.replace("_", "-"), dest=key)
+    p.add_argument("--config", help="key=value config file; flags override it")
+    p.set_defaults(handler=handler)
 
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="cod", description=__doc__.splitlines()[0])
     commands = parser.add_subparsers(dest="command", required=True)
-
-    p = commands.add_parser("oscillator", help="variable-frequency oscillator series")
-    for flag in ("--omega-sq", "--from-csv", "--t-max", "--step", "--a", "--b",
-                 "--t-a", "--t-b", "--tol", "--max-terms"):
-        p.add_argument(flag)
-    _add_common(p)
-    p.set_defaults(handler=_cmd_oscillator)
-
-    p = commands.add_parser("power-series", help="monomial series for w2 = -t^alpha")
-    for flag in ("--alpha", "--terms", "--t-max", "--points"):
-        p.add_argument(flag)
-    _add_common(p)
-    p.set_defaults(handler=_cmd_power_series)
-
-    p = commands.add_parser("exp-potential", help="exponential-potential product series")
-    for flag in ("--m", "--amplitude", "--c1", "--c2", "--x-min", "--x-max",
-                 "--step", "--terms"):
-        p.add_argument(flag)
-    _add_common(p)
-    p.set_defaults(handler=_cmd_exp_potential)
-
-    p = commands.add_parser("stationary", help="periodic stationary problem")
-    for flag in ("--dims", "--size", "--box", "--potential", "--from-csv",
-                 "--energy", "--variant", "--psi-g-const", "--source", "--tol",
-                 "--max-terms"):
-        p.add_argument(flag)
-    _add_common(p)
-    p.set_defaults(handler=_cmd_stationary)
-
-    p = commands.add_parser("tdse", help="time-dependent short-step propagation")
-    for flag in ("--size", "--box", "--potential", "--vector-potential", "--x0",
-                 "--sigma", "--k0", "--dt", "--t-final", "--terms", "--nodes"):
-        p.add_argument(flag)
-    _add_common(p)
-    p.set_defaults(handler=_cmd_tdse)
-
-    p = commands.add_parser("wave", help="dispersive wave equation")
-    for flag in ("--epsilon", "--from-csv", "--s-init", "--r-init", "--x-size",
-                 "--box", "--t-max", "--t-size", "--tol", "--max-terms", "--snapshot"):
-        p.add_argument(flag)
-    _add_common(p)
-    p.set_defaults(handler=_cmd_wave)
+    _add_command(commands, "oscillator", "variable-frequency oscillator series",
+                 _OSC_DEFAULTS, _cmd_oscillator)
+    _add_command(commands, "power-series", "monomial series for w2 = -t^alpha",
+                 _POWER_DEFAULTS, _cmd_power_series)
+    _add_command(commands, "exp-potential", "exponential-potential product series",
+                 _EXP_DEFAULTS, _cmd_exp_potential)
+    _add_command(commands, "stationary", "periodic stationary problem",
+                 _STATIONARY_DEFAULTS, _cmd_stationary)
+    _add_command(commands, "tdse", "time-dependent short-step propagation",
+                 _TDSE_DEFAULTS, _cmd_tdse)
+    _add_command(commands, "wave", "dispersive wave equation", _WAVE_DEFAULTS, _cmd_wave)
 
     p = commands.add_parser("verify", help="run the acceptance table")
     p.add_argument("--quick", action="store_true", help="reduced-resolution variant")

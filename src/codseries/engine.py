@@ -10,15 +10,19 @@ the term recurrence term[n+1] = cycle_map(term[n]) and stops per a
 divergence is flagged when term norms grow monotonically by a set factor
 across a window, and non-finite terms abort loudly.
 
-The engine is container-agnostic: any value type with a complex ``values``
-array and a ``with_values`` constructor works (1D grid functions, periodic
-fields, space-time fields).
+Every value the engine handles is a :class:`~codseries.grids.GridFunction`
+(1D grid functions, periodic boxes and space-time fields alike).  Terms
+are added to the partial sum in place, and a term is non-finite exactly
+when its sup norm is, since ``max|.|`` propagates nan and inf.
 """
 
+import math
 from dataclasses import dataclass, field
-from typing import Any, Callable, Optional
+from typing import Callable, Optional
 
 import numpy as np
+
+from .grids import GridFunction
 
 __all__ = [
     "CONVERGED",
@@ -35,7 +39,7 @@ __all__ = [
     "v_apply",
 ]
 
-Operator = Callable[[Any], Any]
+Operator = Callable[[GridFunction], GridFunction]
 
 CONVERGED = "converged"
 MAX_TERMS = "max_terms"
@@ -94,7 +98,7 @@ class CodScheme:
     """
 
     cycle_map: Operator
-    generating: Any
+    generating: GridFunction
     defect_op: Operator
     g_op: Optional[Operator] = None
     g_inverse: Optional[Operator] = None
@@ -119,8 +123,8 @@ class SeriesRun:
     with the generating term, so its length is terms_used + 1.
     """
 
-    partial_sum: Any
-    last_term: Any
+    partial_sum: GridFunction
+    last_term: GridFunction
     term_sup_norms: list = field(default_factory=list)
     terms_used: int = 0
     stop_reason: str = CONVERGED
@@ -137,9 +141,9 @@ def _iterate(scheme: CodScheme, seed, policy: StopPolicy) -> SeriesRun:
     window = policy.divergence_window
     for n in range(1, 2 * policy.max_terms + window + 4):
         cand = scheme.cycle_map(term)
-        if not np.isfinite(cand.values).all():
-            raise SeriesBlowUpError(f"series blow-up at term {n}")
         cn = _sup(cand)
+        if not math.isfinite(cn):
+            raise SeriesBlowUpError(f"series blow-up at term {n}")
         if cn == 0.0:
             # exactly terminated series: nothing further can contribute
             small_streak += 1
@@ -148,7 +152,7 @@ def _iterate(scheme: CodScheme, seed, policy: StopPolicy) -> SeriesRun:
                 break
             term = cand
             continue
-        total = total.with_values(total.values + cand.values)
+        total.values += cand.values
         norms_hist.append(cn)
         used += 1
         last = cand

@@ -73,18 +73,6 @@ class ExpSeriesSolution:
         out = np.exp(1j * self.m * x) * acc
         return out if out.shape else complex(out)
 
-    def evaluate_conjugate(self, x):
-        """Coefficient-wise conjugate series (equivalent to m -> -m)."""
-        x = np.asarray(x, dtype=float)
-        growth = self.amplitude * np.exp(x)
-        acc = np.ones(x.shape, dtype=complex)
-        running = np.ones(x.shape, dtype=complex)
-        for p in self.product_coeffs:
-            running = running * growth
-            acc = acc + running * np.conjugate(p)
-        out = np.exp(-1j * self.m * x) * acc
-        return out if out.shape else complex(out)
-
 
 def particular_solution(problem: ExpPotentialProblem, n_terms: int) -> ExpSeriesSolution:
     """Build the product coefficients P_1..P_{n_terms} by the running product."""
@@ -102,10 +90,15 @@ def particular_solution(problem: ExpPotentialProblem, n_terms: int) -> ExpSeries
 
 
 def general_solution(problem: ExpPotentialProblem, n_terms: int):
-    """Evaluator x -> c1 * psi_p(x) + c2 * conj-series(x)."""
+    """Evaluator x -> c1 * psi_p(x) + c2 * conj-series(x).
+
+    The conjugate series is the particular solution for m -> -m, whose
+    products are the conjugates of P_n.
+    """
     series = particular_solution(problem, n_terms)
+    conjugate = particular_solution(ExpPotentialProblem(-problem.m, problem.amplitude), n_terms)
 
     def evaluate(x):
-        return problem.c1 * series.evaluate(x) + problem.c2 * series.evaluate_conjugate(x)
+        return problem.c1 * series.evaluate(x) + problem.c2 * conjugate.evaluate(x)
 
     return evaluate

@@ -1,12 +1,14 @@
 """Uniform-grid function containers and the discrete calculus on them.
 
-Everything downstream (series engines, spectral inverses, residual checks)
-is built from the handful of operations here: cumulative trapezoid
-integration with a selectable lower limit, second-order finite differences,
-Fourier transforms on periodic grids, and the sup/L2 norms used for
-convergence monitoring.
+Every solver stores its samples in one container, :class:`GridFunction`,
+over one uniform :class:`Grid` per axis.  Everything downstream (series
+engines, spectral inverses, residual checks) is built from the handful of
+operations here: cumulative trapezoid integration with a selectable lower
+limit, second-order finite differences, wavenumbers of periodic grids, and
+the %.17g CSV writer.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,13 +18,8 @@ __all__ = [
     "GridFunction",
     "cumulative_integral",
     "cumtrapz_from",
-    "dft",
-    "first_derivative",
     "first_diff",
-    "idft",
-    "norms",
     "read_csv",
-    "second_derivative",
     "second_diff",
     "wavenumbers",
     "write_csv",
@@ -83,63 +80,40 @@ class Grid:
 
 @dataclass
 class GridFunction:
-    """Complex-valued samples of a function on a uniform grid.
+    """Complex-valued samples on a uniform grid, one :class:`Grid` per axis.
 
-    Supports elementwise arithmetic against other functions on the same
-    grid, against scalars, and against plain arrays of matching length.
+    ``grid`` is a single Grid for a 1D function, or a tuple of Grids whose
+    counts give the shape of ``values`` (a 1-tuple is stored as the bare
+    Grid).  Periodic axes use :meth:`Grid.periodic`; the space-time wave
+    field is indexed (t, x).
     """
 
-    grid: Grid
+    grid: Grid | tuple
     values: np.ndarray
 
     def __post_init__(self):
+        if isinstance(self.grid, tuple) and len(self.grid) == 1:
+            self.grid = self.grid[0]
         values = np.ascontiguousarray(self.values, dtype=complex)
-        if values.shape != (self.grid.count,):
-            raise ValueError(
-                f"values shape {values.shape} does not match grid count {self.grid.count}"
-            )
+        shape = tuple(g.count for g in self.axes)
+        if values.shape != shape:
+            raise ValueError(f"values shape {values.shape} does not match grid shape {shape}")
         self.values = values
+
+    @property
+    def axes(self) -> tuple:
+        """The grids of all axes, as a tuple also for a 1D function."""
+        return self.grid if isinstance(self.grid, tuple) else (self.grid,)
 
     def with_values(self, values) -> "GridFunction":
         return GridFunction(self.grid, values)
-
-    def copy(self) -> "GridFunction":
-        return GridFunction(self.grid, self.values.copy())
 
     def sup_norm(self) -> float:
         return float(np.max(np.abs(self.values)))
 
     def l2_norm(self) -> float:
-        return float(np.sqrt(self.grid.step * np.sum(np.abs(self.values) ** 2)))
-
-    def _check_grid(self, other: "GridFunction"):
-        if self.grid != other.grid:
-            raise ValueError("mismatched grids")
-
-    def __add__(self, other):
-        if isinstance(other, GridFunction):
-            self._check_grid(other)
-            return self.with_values(self.values + other.values)
-        return self.with_values(self.values + other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, GridFunction):
-            self._check_grid(other)
-            return self.with_values(self.values - other.values)
-        return self.with_values(self.values - other)
-
-    def __mul__(self, other):
-        if isinstance(other, GridFunction):
-            self._check_grid(other)
-            return self.with_values(self.values * other.values)
-        return self.with_values(self.values * other)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return self.with_values(-self.values)
+        cell = math.prod(g.step for g in self.axes)
+        return float(np.sqrt(cell * np.sum(np.abs(self.values) ** 2)))
 
 
 def cumtrapz_from(values, step: float, start_index: int, axis: int = 0) -> np.ndarray:
@@ -212,40 +186,9 @@ def cumulative_integral(f: GridFunction, lower_limit: float) -> GridFunction:
     return f.with_values(cumtrapz_from(f.values, f.grid.step, i0))
 
 
-def second_derivative(f: GridFunction) -> GridFunction:
-    if f.grid.count < 3:
-        raise ValueError("second_derivative needs at least 3 grid points")
-    return f.with_values(second_diff(f.values, f.grid.step))
-
-
-def first_derivative(f: GridFunction) -> GridFunction:
-    return f.with_values(first_diff(f.values, f.grid.step))
-
-
 def wavenumbers(grid: Grid) -> np.ndarray:
     """Wavenumbers 2*pi*j/(step*count) in the symmetric (fft) ordering."""
     return 2.0 * np.pi * np.fft.fftfreq(grid.count, d=grid.step)
-
-
-def dft(f: GridFunction) -> GridFunction:
-    """Fourier coefficients of ``f`` read as one period of a periodic signal.
-
-    Coefficient normalization: a pure mode exp(i*k_j*x) transforms to a
-    single entry of unit modulus at position j (ordering per
-    ``wavenumbers``).  With this convention the mean of |f|^2 equals the
-    sum of |coefficients|^2.
-    """
-    return f.with_values(np.fft.fft(f.values) / f.grid.count)
-
-
-def idft(f: GridFunction) -> GridFunction:
-    """Inverse of :func:`dft`; ``idft(dft(f))`` returns ``f`` to round-off."""
-    return f.with_values(np.fft.ifft(f.values * f.grid.count))
-
-
-def norms(f: GridFunction) -> tuple[float, float]:
-    """Return (sup norm, L2 norm) with L2 = sqrt(step * sum |f|^2)."""
-    return f.sup_norm(), f.l2_norm()
 
 
 def write_rows(fh, table):
@@ -265,10 +208,18 @@ def write_rows(fh, table):
 
 
 def write_csv(f: GridFunction, path):
-    """Write ``x,re,im`` rows with one header line and %.17g formatting."""
+    """Write ``f`` with %.17g formatting.
+
+    1D functions: one ``x,re,im`` header line, then one row per point.
+    2D functions: no header, one line of row-major re,im pairs per row.
+    """
     with open(path, "w", encoding="ascii") as fh:
-        fh.write("x,re,im\n")
-        write_rows(fh, np.column_stack((f.grid.points(), f.values.real, f.values.imag)))
+        if f.values.ndim == 1:
+            fh.write("x,re,im\n")
+            write_rows(fh, np.column_stack((f.grid.points(), f.values.real, f.values.imag)))
+        else:
+            # a contiguous complex row viewed as floats is its re,im pairs
+            write_rows(fh, f.values.view(float))
 
 
 def read_csv(path) -> GridFunction:

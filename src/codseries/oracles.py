@@ -18,7 +18,7 @@ from typing import Any, Callable
 
 from .grids import Grid, GridFunction
 from .tdse import TdseSetup
-from .wave import SpaceTimeField, WaveProblem
+from .wave import WaveProblem
 
 __all__ = [
     "OracleResult",
@@ -30,7 +30,7 @@ __all__ = [
 
 @dataclass
 class OracleResult:
-    solution: Any
+    solution: GridFunction
     method: str
     step_used: float
     error_estimate: float
@@ -262,6 +262,6 @@ def leapfrog_wave(problem: WaveProblem, x_grid: Grid, t_grid: Grid,
         coarse, _, _ = _leapfrog_run(problem, x_grid, t_grid,
                                      space_refine // 2, substeps // 2)
         estimate = float(np.max(np.abs(rows - coarse)) / 3.0)
-    solution = SpaceTimeField(x_grid, t_grid, rows)
+    solution = GridFunction((t_grid, x_grid), rows)
     return OracleResult(solution, "leapfrog", dt_used, estimate,
                         {"energy_drift": drift})

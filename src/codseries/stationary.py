@@ -18,94 +18,37 @@ variant is the source-driven run with a zero generating function.
 """
 
 import json
-from dataclasses import dataclass
 
 import numpy as np
 
 from .engine import CodScheme, SeriesRun, StopPolicy, run_cod, run_cod_with_source
-from .grids import write_rows
+from .grids import GridFunction, wavenumbers, write_csv
 
 __all__ = [
-    "PeriodicField",
     "build_scheme",
     "inverse_laplacian",
     "laplacian",
-    "read_field_csv",
     "resolvent",
     "solve_stationary",
     "write_field_csv",
 ]
 
 
-@dataclass
-class PeriodicField:
-    """Complex samples on a periodic box (1D or 2D, endpoint excluded).
-
-    Sizes must be even and at least 4 so the wavenumber range is
-    symmetric; 2D boxes must be square (same length and size per axis).
-    """
-
-    box_lengths: tuple
-    values: np.ndarray
-
-    def __post_init__(self):
-        values = np.ascontiguousarray(self.values, dtype=complex)
-        if values.ndim not in (1, 2):
-            raise ValueError(f"fields must be 1D or 2D, got {values.ndim}D")
-        box = tuple(float(b) for b in np.atleast_1d(self.box_lengths))
-        if len(box) != values.ndim:
-            raise ValueError("box_lengths must give one length per axis")
-        for size in values.shape:
-            if size < 4 or size % 2:
-                raise ValueError(f"axis sizes must be even and >= 4, got {size}")
-        if any(b <= 0 for b in box):
-            raise ValueError("box lengths must be positive")
-        if values.ndim == 2:
-            if box[0] != box[1] or values.shape[0] != values.shape[1]:
-                raise ValueError("2D fields must be square (same box length and size)")
-        self.box_lengths = box
-        self.values = values
-
-    @property
-    def dims(self) -> int:
-        return self.values.ndim
-
-    @property
-    def shape(self) -> tuple:
-        return self.values.shape
-
-    def axis_points(self, axis: int = 0) -> np.ndarray:
-        n = self.values.shape[axis]
-        return np.arange(n) * (self.box_lengths[axis] / n)
-
-    def with_values(self, values) -> "PeriodicField":
-        return PeriodicField(self.box_lengths, values)
-
-    def sup_norm(self) -> float:
-        return float(np.max(np.abs(self.values)))
-
-    def mean(self) -> complex:
-        return complex(np.mean(self.values))
-
-
-def _ksq(field: PeriodicField) -> np.ndarray:
-    axes = [
-        2.0 * np.pi * np.fft.fftfreq(n, d=length / n)
-        for n, length in zip(field.shape, field.box_lengths)
-    ]
-    if field.dims == 1:
-        return axes[0] ** 2
-    kx, ky = np.meshgrid(axes[0], axes[1], indexing="ij")
+def _ksq(field: GridFunction) -> np.ndarray:
+    k = [wavenumbers(axis) for axis in field.axes]
+    if len(k) == 1:
+        return k[0] ** 2
+    kx, ky = np.meshgrid(k[0], k[1], indexing="ij")
     return kx ** 2 + ky ** 2
 
 
-def laplacian(f: PeriodicField) -> PeriodicField:
+def laplacian(f: GridFunction) -> GridFunction:
     """Mode-wise Laplacian (multiply by -k^2)."""
     spectrum = np.fft.fftn(f.values)
     return f.with_values(np.fft.ifftn(-_ksq(f) * spectrum))
 
 
-def inverse_laplacian(f: PeriodicField) -> PeriodicField:
+def inverse_laplacian(f: GridFunction) -> GridFunction:
     """Pseudo-inverse Laplacian: divide modes by -k^2, zero mode mapped to 0.
 
     The output is always mean-free, so laplacian(inverse_laplacian(f))
@@ -119,7 +62,7 @@ def inverse_laplacian(f: PeriodicField) -> PeriodicField:
     return f.with_values(np.fft.ifftn(out))
 
 
-def resolvent(f: PeriodicField, energy: float) -> PeriodicField:
+def resolvent(f: GridFunction, energy: float) -> GridFunction:
     """Mode-wise multiplication by 1/(2E - k^2).
 
     Raises when some grid mode satisfies 2E = k^2 exactly; for E < 0 every
@@ -132,34 +75,47 @@ def resolvent(f: PeriodicField, energy: float) -> PeriodicField:
     return f.with_values(np.fft.ifftn(np.fft.fftn(f.values) / denom))
 
 
-def build_scheme(potential: PeriodicField, energy: float, psi_g: PeriodicField,
+def build_scheme(potential: GridFunction, energy: float, psi_g: GridFunction,
                  variant: str, gen_tol: float | None = None) -> CodScheme:
-    """Scheme for Laplacian(psi) + 2(E - U) psi = 0 in the chosen variant."""
-    if potential.shape != psi_g.shape or potential.box_lengths != psi_g.box_lengths:
+    """Scheme for Laplacian(psi) + 2(E - U) psi = 0 in the chosen variant.
+
+    The fields live on one periodic box (axes from :meth:`Grid.periodic`),
+    1D or 2D.  Sizes must be even and at least 4 so the wavenumber range is
+    symmetric; 2D boxes must be square (same grid on both axes).
+    """
+    if potential.grid != psi_g.grid:
         raise ValueError("potential and generating field live on different boxes")
+    axes = psi_g.axes
+    if len(axes) not in (1, 2):
+        raise ValueError(f"fields must be 1D or 2D, got {len(axes)}D")
+    for axis in axes:
+        if axis.count < 4 or axis.count % 2:
+            raise ValueError(f"axis sizes must be even and >= 4, got {axis.count}")
+    if len(axes) == 2 and axes[0] != axes[1]:
+        raise ValueError("2D boxes must be square (same grid on both axes)")
     u = potential.values
     if gen_tol is None:
         gen_tol = 1e-9 * (1.0 + psi_g.sup_norm())
 
-    def defect_op(f: PeriodicField) -> PeriodicField:
+    def defect_op(f: GridFunction) -> GridFunction:
         lap = laplacian(f)
         return f.with_values(lap.values + 2.0 * (energy - u) * f.values)
 
     if variant == "laplace":
-        def cycle(f: PeriodicField) -> PeriodicField:
+        def cycle(f: GridFunction) -> GridFunction:
             return inverse_laplacian(f.with_values((2.0 * u - 2.0 * energy) * f.values))
 
         g_op = laplacian
         g_inverse = inverse_laplacian
     elif variant == "resolvent":
-        def cycle(f: PeriodicField) -> PeriodicField:
+        def cycle(f: GridFunction) -> GridFunction:
             return resolvent(f.with_values(2.0 * u * f.values), energy)
 
-        def g_op(f: PeriodicField) -> PeriodicField:
+        def g_op(f: GridFunction) -> GridFunction:
             lap = laplacian(f)
             return f.with_values(2.0 * energy * f.values + lap.values)
 
-        def g_inverse(f: PeriodicField) -> PeriodicField:
+        def g_inverse(f: GridFunction) -> GridFunction:
             return resolvent(f, energy)
     else:
         raise ValueError(f"unknown variant {variant!r}; use 'laplace' or 'resolvent'")
@@ -175,8 +131,8 @@ def build_scheme(potential: PeriodicField, energy: float, psi_g: PeriodicField,
     )
 
 
-def solve_stationary(potential: PeriodicField, energy: float, psi_g: PeriodicField,
-                     variant: str, policy: StopPolicy, source: PeriodicField | None = None,
+def solve_stationary(potential: GridFunction, energy: float, psi_g: GridFunction,
+                     variant: str, policy: StopPolicy, source: GridFunction | None = None,
                      ) -> SeriesRun:
     """Run the chosen decomposition; pass ``source`` for a driven problem.
 
@@ -189,47 +145,19 @@ def solve_stationary(potential: PeriodicField, energy: float, psi_g: PeriodicFie
     return run_cod(scheme, policy)
 
 
-def write_field_csv(field: PeriodicField, path, meta_path=None):
-    """1D fields: ``x,re,im`` rows.  2D fields: row-major re,im pairs.
+def write_field_csv(field: GridFunction, path, meta_path, box_lengths):
+    """Write the field with :func:`grids.write_csv` and a JSON sidecar with
+    its shape, box lengths and layout.
 
-    When ``meta_path`` is given a JSON sidecar with shape and box lengths
-    is written next to the data.
+    ``box_lengths`` are the lengths the box was built from: a periodic
+    grid's ``period`` (step * count) can differ from them by an ulp.
     """
-    with open(path, "w", encoding="ascii") as fh:
-        if field.dims == 1:
-            fh.write("x,re,im\n")
-            write_rows(fh, np.column_stack((field.axis_points(0), field.values.real,
-                                            field.values.imag)))
-        else:
-            # a contiguous complex row viewed as floats is its re,im pairs
-            write_rows(fh, field.values.view(float))
-    if meta_path is not None:
-        meta = {
-            "shape": list(field.shape),
-            "box_lengths": list(field.box_lengths),
-            "layout": "x,re,im" if field.dims == 1 else "row-major re,im pairs",
-        }
-        with open(meta_path, "w", encoding="ascii") as fh:
-            json.dump(meta, fh, indent=2)
-            fh.write("\n")
-
-
-def read_field_csv(path, meta_path=None) -> PeriodicField:
-    """Read a field written by :func:`write_field_csv`."""
-    if meta_path is not None:
-        with open(meta_path, encoding="ascii") as fh:
-            meta = json.load(fh)
-        shape = tuple(meta["shape"])
-        box = tuple(meta["box_lengths"])
-        if len(shape) == 1:
-            data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-            return PeriodicField(box, data[:, 1] + 1j * data[:, 2])
-        data = np.loadtxt(path, delimiter=",", ndmin=2)
-        values = data[:, 0::2] + 1j * data[:, 1::2]
-        if values.shape != shape:
-            raise ValueError(f"data shape {values.shape} does not match metadata {shape}")
-        return PeriodicField(box, values)
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    x = data[:, 0]
-    length = float(x[-1] + (x[1] - x[0]))
-    return PeriodicField((length,), data[:, 1] + 1j * data[:, 2])
+    write_csv(field, path)
+    meta = {
+        "shape": list(field.values.shape),
+        "box_lengths": list(box_lengths),
+        "layout": "x,re,im" if field.values.ndim == 1 else "row-major re,im pairs",
+    }
+    with open(meta_path, "w", encoding="ascii") as fh:
+        json.dump(meta, fh, indent=2)
+        fh.write("\n")

@@ -8,7 +8,6 @@ the resolution) so the whole table finishes in a few seconds.
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -25,7 +24,7 @@ from .oscillator import (
     log_series_value,
     power_series_solution,
 )
-from .stationary import PeriodicField, inverse_laplacian, laplacian, resolvent
+from .stationary import inverse_laplacian, laplacian, resolvent
 from .tdse import PropagatorStep, TdseSetup, cod_step, hamiltonian_apply, normalize
 from .wave import WaveProblem, build_wave_scheme, solve_wave
 
@@ -202,7 +201,8 @@ def exp_potential_residual(quick: bool) -> CriterionResult:
 def spectral_inverse_identities(quick: bool) -> CriterionResult:
     """Pseudo-inverse Laplacian and resolvent invert their operators."""
     rng = np.random.default_rng(7)
-    f = PeriodicField((2.0 * np.pi,), rng.standard_normal(64) + 1j * rng.standard_normal(64))
+    f = GridFunction(Grid.periodic(0.0, 2.0 * np.pi, 64),
+                     rng.standard_normal(64) + 1j * rng.standard_normal(64))
     back = laplacian(inverse_laplacian(f))
     err_lap = float(np.max(np.abs(back.values - (f.values - np.mean(f.values)))))
     res = resolvent(f, -1.0)
@@ -446,10 +446,6 @@ def run_criterion(name: str, quick: bool = False) -> CriterionResult:
     raise KeyError(f"unknown criterion {name!r}")
 
 
-def run_all(quick: bool = False, jobs: int = 1) -> list:
-    """Run every criterion, optionally across a thread pool, in fixed order."""
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = [(name, pool.submit(func, quick)) for name, func in CRITERIA]
-            return [future.result() for _, future in futures]
+def run_all(quick: bool = False) -> list:
+    """Run every criterion in fixed order."""
     return [func(quick) for _, func in CRITERIA]

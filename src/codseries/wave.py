@@ -19,14 +19,15 @@ few tens at most) or the transient growth swamps the answer and the run
 stops with divergence detected.
 """
 
-import numpy as np
+import json
 from dataclasses import dataclass
 
+import numpy as np
+
 from .engine import CodScheme, SeriesRun, StopPolicy, run_cod
-from .grids import Grid, GridFunction, cumtrapz_from, second_diff, wavenumbers, write_rows
+from .grids import Grid, GridFunction, cumtrapz_from, second_diff, wavenumbers, write_csv
 
 __all__ = [
-    "SpaceTimeField",
     "WaveProblem",
     "build_wave_scheme",
     "solve_wave",
@@ -34,40 +35,6 @@ __all__ = [
 ]
 
 MAX_AXIS_SAMPLES = 2048
-
-
-@dataclass
-class SpaceTimeField:
-    """Complex samples indexed (time, space) on a uniform rectangle.
-
-    The x grid is read periodically (endpoint excluded); the t grid must
-    start at 0.
-    """
-
-    x_grid: Grid
-    t_grid: Grid
-    values: np.ndarray
-
-    def __post_init__(self):
-        if self.t_grid.start != 0.0:
-            raise ValueError("time grid must start at 0")
-        if self.t_grid.count > MAX_AXIS_SAMPLES or self.x_grid.count > MAX_AXIS_SAMPLES:
-            raise ValueError(f"axis sample counts are capped at {MAX_AXIS_SAMPLES}")
-        values = np.ascontiguousarray(self.values, dtype=complex)
-        expected = (self.t_grid.count, self.x_grid.count)
-        if values.shape != expected:
-            raise ValueError(f"values shape {values.shape} does not match {expected}")
-        self.values = values
-
-    def with_values(self, values) -> "SpaceTimeField":
-        return SpaceTimeField(self.x_grid, self.t_grid, values)
-
-    def sup_norm(self) -> float:
-        return float(np.max(np.abs(self.values)))
-
-    def row(self, t: float) -> GridFunction:
-        """Spatial slice at time t (must be a time grid point)."""
-        return GridFunction(self.x_grid, self.values[self.t_grid.index_of(t)])
 
 
 @dataclass
@@ -97,11 +64,17 @@ def build_wave_scheme(problem: WaveProblem, x_grid: Grid, t_grid: Grid,
                       gen_tol: float | None = None) -> CodScheme:
     """Wire a wave problem into a scheme over space-time fields.
 
+    The fields are GridFunctions on ``(t_grid, x_grid)``; the x grid is read
+    periodically (endpoint excluded) and the t grid must start at 0.
     cycle_map(F) integrates the spectral d^2/dx^2 of F twice in time
     (inner plain, 1/eps between, outer plain), both integrals from t = 0.
     """
     if problem.epsilon.grid != x_grid:
         raise ValueError("problem data must be sampled on the given x grid")
+    if t_grid.start != 0.0:
+        raise ValueError("time grid must start at 0")
+    if t_grid.count > MAX_AXIS_SAMPLES or x_grid.count > MAX_AXIS_SAMPLES:
+        raise ValueError(f"axis sample counts are capped at {MAX_AXIS_SAMPLES}")
     eps = problem.epsilon.values.real
     inv_eps = 1.0 / eps
     ksq = wavenumbers(x_grid) ** 2
@@ -111,26 +84,26 @@ def build_wave_scheme(problem: WaveProblem, x_grid: Grid, t_grid: Grid,
     def d2x(values: np.ndarray) -> np.ndarray:
         return np.fft.ifft(-ksq[None, :] * np.fft.fft(values, axis=1), axis=1)
 
-    def cycle(f: SpaceTimeField) -> SpaceTimeField:
+    def cycle(f: GridFunction) -> GridFunction:
         inner = cumtrapz_from(d2x(f.values), dt, 0, axis=0)
         outer = cumtrapz_from(inv_eps[None, :] * inner, dt, 0, axis=0)
         return f.with_values(outer)
 
-    def g_op(f: SpaceTimeField) -> SpaceTimeField:
+    def g_op(f: GridFunction) -> GridFunction:
         # time-independent eps: d/dt(eps d/dt .) == eps * d^2/dt^2, and the
         # single second-difference stencil stays second order at the time
         # boundaries where two chained first differences would drop to O(dt)
         return f.with_values(eps[None, :] * second_diff(f.values, dt, axis=0))
 
-    def defect_op(f: SpaceTimeField) -> SpaceTimeField:
+    def defect_op(f: GridFunction) -> GridFunction:
         return f.with_values(g_op(f).values - d2x(f.values))
 
-    def g_inverse(f: SpaceTimeField) -> SpaceTimeField:
+    def g_inverse(f: GridFunction) -> GridFunction:
         inner = cumtrapz_from(f.values, dt, 0, axis=0)
         return f.with_values(cumtrapz_from(inv_eps[None, :] * inner, dt, 0, axis=0))
 
-    generating = SpaceTimeField(
-        x_grid, t_grid,
+    generating = GridFunction(
+        (t_grid, x_grid),
         problem.S.values[None, :] + t_col * (inv_eps * problem.R.values)[None, :],
     )
     if gen_tol is None:
@@ -148,7 +121,7 @@ def build_wave_scheme(problem: WaveProblem, x_grid: Grid, t_grid: Grid,
 
 
 def solve_wave(problem: WaveProblem, x_grid: Grid, t_grid: Grid,
-               policy: StopPolicy) -> tuple[SpaceTimeField, SeriesRun]:
+               policy: StopPolicy) -> tuple[GridFunction, SeriesRun]:
     """Accumulate the space-time series and return (field, run diagnostics).
 
     A divergent run (time window too long for max(1/eps) * k_max^2) is
@@ -160,23 +133,20 @@ def solve_wave(problem: WaveProblem, x_grid: Grid, t_grid: Grid,
     return run.partial_sum, run
 
 
-def write_field_csv(field: SpaceTimeField, path, meta_path=None):
-    """Row-major CSV (one time row per line, re,im pairs per x sample)."""
-    import json
-
-    with open(path, "w", encoding="ascii") as fh:
-        # a contiguous complex row viewed as floats is its re,im pairs
-        write_rows(fh, field.values.view(float))
-    if meta_path is not None:
-        meta = {
-            "t_start": field.t_grid.start,
-            "t_step": field.t_grid.step,
-            "t_count": field.t_grid.count,
-            "x_start": field.x_grid.start,
-            "x_step": field.x_grid.step,
-            "x_count": field.x_grid.count,
-            "layout": "row-major re,im pairs, one time row per line",
-        }
-        with open(meta_path, "w", encoding="ascii") as fh:
-            json.dump(meta, fh, indent=2)
-            fh.write("\n")
+def write_field_csv(field: GridFunction, path, meta_path):
+    """Write the (t, x) field with :func:`grids.write_csv` (one time row per
+    line, re,im pairs per x sample) and a JSON sidecar with both grids."""
+    write_csv(field, path)
+    t_grid, x_grid = field.grid
+    meta = {
+        "t_start": t_grid.start,
+        "t_step": t_grid.step,
+        "t_count": t_grid.count,
+        "x_start": x_grid.start,
+        "x_step": x_grid.step,
+        "x_count": x_grid.count,
+        "layout": "row-major re,im pairs, one time row per line",
+    }
+    with open(meta_path, "w", encoding="ascii") as fh:
+        json.dump(meta, fh, indent=2)
+        fh.write("\n")

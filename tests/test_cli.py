@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from codseries import cli
 from codseries.cli import main
 from codseries.grids import Grid, GridFunction, write_csv
 
@@ -70,9 +71,26 @@ class TestOscillatorCommand:
         assert run(["oscillator", "--config", str(config)]) == 3
 
 
+SUBCOMMAND_DEFAULTS = {
+    "oscillator": cli._OSC_DEFAULTS,
+    "power-series": cli._POWER_DEFAULTS,
+    "exp-potential": cli._EXP_DEFAULTS,
+    "stationary": cli._STATIONARY_DEFAULTS,
+    "tdse": cli._TDSE_DEFAULTS,
+    "wave": cli._WAVE_DEFAULTS,
+}
+
+
 class TestArgumentErrors:
     def test_unknown_flag(self):
         assert run(["oscillator", "--frequency", "1"]) == 3
+
+    @pytest.mark.parametrize("command", sorted(SUBCOMMAND_DEFAULTS))
+    def test_flags_are_the_defaults_keys(self, command):
+        parsed = vars(cli._build_parser().parse_args([command]))
+        dests = set(parsed) - {"command", "handler"}
+        assert dests == set(SUBCOMMAND_DEFAULTS[command]) | {"config"}
+        assert run([command, "--frequency", "1"]) == 3
 
     def test_unknown_command(self):
         assert run(["oscillate"]) == 3
@@ -161,6 +179,22 @@ class TestStationaryCommand:
         meta = json.loads((tmp_path / "stationary_field.json").read_text())
         assert meta["shape"] == [16, 16]
 
+    @pytest.mark.parametrize("size", ["63", "2"])
+    def test_bad_size_exit_code(self, tmp_path, size):
+        assert run(["stationary", "--size", size, "--out-dir", str(tmp_path)]) == 3
+
+    def test_odd_size_from_csv_exit_code(self, tmp_path):
+        grid = Grid.periodic(0.0, 2.0 * np.pi, 63)
+        write_csv(GridFunction(grid, np.zeros(63)), tmp_path / "u.csv")
+        assert run(["stationary", "--from-csv", str(tmp_path / "u.csv"),
+                    "--out-dir", str(tmp_path)]) == 3
+
+    def test_resolvent_nonzero_generating_exit_code(self, tmp_path, capsys):
+        # a constant is not annihilated by 2E + Laplacian: a solver error
+        assert run(["stationary", "--variant", "resolvent", "--psi-g-const", "1",
+                    "--out-dir", str(tmp_path)]) == 1
+        assert "not annihilated" in capsys.readouterr().err
+
     def test_bad_variant(self, tmp_path):
         assert run(["stationary", "--variant", "quantum",
                     "--out-dir", str(tmp_path)]) == 3
@@ -226,9 +260,3 @@ class TestVerifyCommand:
         out = capsys.readouterr().out
         assert "criteria passed" in out
         assert "FAIL" not in out
-
-    def test_thread_env_parsing(self, capsys, monkeypatch):
-        monkeypatch.setenv("COD_THREADS", "2")
-        assert run(["verify", "--quick"]) == 0
-        monkeypatch.setenv("COD_THREADS", "many")
-        assert run(["verify", "--quick"]) == 3

@@ -79,10 +79,14 @@ class TestEvaluation:
             assert series.evaluate(x) == pytest.approx(direct, abs=1e-12)
 
     def test_conjugate_series(self):
-        sol = particular_solution(ExpPotentialProblem(1.0, 1.0), 15)
+        # general_solution's conjugate series is the m -> -m particular solution
         x = np.linspace(-2.0, 1.0, 31)
-        assert np.allclose(sol.evaluate_conjugate(x), np.conj(sol.evaluate(x)),
-                           atol=1e-14)
+        sol = particular_solution(ExpPotentialProblem(1.0, 1.0), 15)
+        conj = particular_solution(ExpPotentialProblem(-1.0, 1.0), 15)
+        assert np.array_equal(conj.product_coeffs, np.conj(sol.product_coeffs))
+        assert np.allclose(conj.evaluate(x), np.conj(sol.evaluate(x)), atol=1e-14)
+        only_c2 = general_solution(ExpPotentialProblem(1.0, 1.0, c1=0.0, c2=1.0), 15)
+        assert np.array_equal(only_c2(x), conj.evaluate(x))
 
     def test_tail_bounded_by_factorial_envelope(self):
         problem = ExpPotentialProblem(1.0, 1.0)

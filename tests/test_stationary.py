@@ -1,13 +1,14 @@
+import json
+
 import numpy as np
 import pytest
 
 from codseries.engine import StopPolicy, defect, run_cod, run_cod_with_source, v_apply
+from codseries.grids import Grid, GridFunction
 from codseries.stationary import (
-    PeriodicField,
     build_scheme,
     inverse_laplacian,
     laplacian,
-    read_field_csv,
     resolvent,
     solve_stationary,
     write_field_csv,
@@ -16,32 +17,52 @@ from codseries.stationary import (
 TWO_PI = 2.0 * np.pi
 
 
+def box(n, length=TWO_PI, dims=1):
+    return (Grid.periodic(0.0, length, n),) * dims
+
+
 def field_1d(values, length=TWO_PI):
-    return PeriodicField((length,), values)
+    return GridFunction(box(len(values), length), values)
+
+
+def field_2d(values, length=TWO_PI):
+    return GridFunction(box(len(values), length, dims=2), values)
+
+
+def check_box(f):
+    """Build a scheme on ``f`` alone; raises when its box is rejected."""
+    return build_scheme(f, 0.0, f.with_values(np.ones(f.values.shape)), "laplace")
 
 
 class TestFieldValidation:
     def test_odd_size_rejected(self):
         with pytest.raises(ValueError, match="even"):
-            field_1d(np.zeros(63))
+            check_box(field_1d(np.zeros(63)))
 
     def test_small_size_rejected(self):
-        with pytest.raises(ValueError):
-            field_1d(np.zeros(2))
+        with pytest.raises(ValueError, match="even and >= 4"):
+            check_box(field_1d(np.zeros(2)))
 
     def test_3d_rejected(self):
-        with pytest.raises(ValueError):
-            PeriodicField((1.0, 1.0, 1.0), np.zeros((4, 4, 4)))
+        with pytest.raises(ValueError, match="1D or 2D"):
+            check_box(GridFunction(box(4, 1.0, dims=3), np.zeros((4, 4, 4))))
 
     def test_2d_requires_square(self):
         with pytest.raises(ValueError, match="square"):
-            PeriodicField((1.0, 2.0), np.zeros((8, 8)))
+            check_box(GridFunction((Grid.periodic(0.0, 1.0, 8), Grid.periodic(0.0, 2.0, 8)),
+                                   np.zeros((8, 8))))
         with pytest.raises(ValueError, match="square"):
-            PeriodicField((1.0, 1.0), np.zeros((8, 16)))
+            check_box(GridFunction((Grid.periodic(0.0, 1.0, 8), Grid.periodic(0.0, 1.0, 16)),
+                                   np.zeros((8, 16))))
+
+    def test_different_boxes_rejected(self):
+        with pytest.raises(ValueError, match="different boxes"):
+            build_scheme(field_1d(np.zeros(8)), 0.0, field_1d(np.ones(8), length=1.0),
+                         "laplace")
 
     def test_axis_points(self):
         f = field_1d(np.zeros(8), length=4.0)
-        assert np.allclose(f.axis_points(0), np.arange(8) * 0.5)
+        assert np.allclose(f.grid.points(), np.arange(8) * 0.5)
 
 
 class TestInverseLaplacian:
@@ -64,13 +85,13 @@ class TestInverseLaplacian:
     def test_output_mean_free(self):
         rng = np.random.default_rng(12)
         f = field_1d(rng.standard_normal(32))
-        assert abs(inverse_laplacian(f).mean()) <= 1e-14
+        assert abs(np.mean(inverse_laplacian(f).values)) <= 1e-14
 
     def test_2d_mode(self):
         n = 16
         axis = np.arange(n) * (TWO_PI / n)
         gx, gy = np.meshgrid(axis, axis, indexing="ij")
-        f = PeriodicField((TWO_PI, TWO_PI), np.sin(gx) * np.cos(2.0 * gy))
+        f = field_2d(np.sin(gx) * np.cos(2.0 * gy))
         out = inverse_laplacian(f)
         assert np.allclose(out.values, -f.values / 5.0, atol=1e-12)
 
@@ -222,8 +243,8 @@ class TestTwoDimensional:
         axis = np.arange(n) * (TWO_PI / n)
         gx, gy = np.meshgrid(axis, axis, indexing="ij")
         eps = 0.01
-        potential = PeriodicField((TWO_PI, TWO_PI), eps * (np.cos(gx) + np.cos(gy)))
-        psi_g = PeriodicField((TWO_PI, TWO_PI), np.ones((n, n)))
+        potential = field_2d(eps * (np.cos(gx) + np.cos(gy)))
+        psi_g = field_2d(np.ones((n, n)))
         scheme = build_scheme(potential, 0.0, psi_g, "laplace")
         term1 = scheme.cycle_map(scheme.generating)
         expected = -2.0 * eps * (np.cos(gx) + np.cos(gy))
@@ -232,8 +253,7 @@ class TestTwoDimensional:
     def test_2d_resolvent_identity(self):
         rng = np.random.default_rng(17)
         n = 16
-        f = PeriodicField((TWO_PI, TWO_PI),
-                          rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        f = field_2d(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
         out = resolvent(f, -1.0)
         recovered = -2.0 * out.values + laplacian(out).values
         assert np.max(np.abs(recovered - f.values)) <= 1e-10
@@ -245,17 +265,28 @@ class TestFieldCsv:
         f = field_1d(rng.standard_normal(16) + 1j * rng.standard_normal(16), length=3.0)
         data = tmp_path / "f.csv"
         meta = tmp_path / "f.json"
-        write_field_csv(f, data, meta)
-        back = read_field_csv(data, meta)
-        assert back.box_lengths == f.box_lengths
-        assert np.array_equal(back.values, f.values)
+        write_field_csv(f, data, meta, (3.0,))
+        meta_obj = json.loads(meta.read_text())
+        assert meta_obj == {"shape": [16], "box_lengths": [3.0], "layout": "x,re,im"}
+        back = np.loadtxt(data, delimiter=",", skiprows=1, ndmin=2)
+        assert np.array_equal(back[:, 0], f.grid.points())
+        assert np.array_equal(back[:, 1] + 1j * back[:, 2], f.values)
 
     def test_2d_round_trip(self, tmp_path):
         rng = np.random.default_rng(5)
-        f = PeriodicField((2.0, 2.0), rng.standard_normal((8, 8)))
+        f = field_2d(rng.standard_normal((8, 8)), length=2.0)
         data = tmp_path / "f2.csv"
         meta = tmp_path / "f2.json"
-        write_field_csv(f, data, meta)
-        back = read_field_csv(data, meta)
-        assert back.shape == (8, 8)
-        assert np.array_equal(back.values, f.values)
+        write_field_csv(f, data, meta, (2.0, 2.0))
+        meta_obj = json.loads(meta.read_text())
+        assert meta_obj["shape"] == [8, 8] and meta_obj["box_lengths"] == [2.0, 2.0]
+        back = np.loadtxt(data, delimiter=",", ndmin=2)
+        assert np.array_equal(back[:, 0::2] + 1j * back[:, 1::2], f.values)
+
+    def test_sidecar_keeps_the_given_box_length(self, tmp_path):
+        # the periodic step times the count is one ulp off this box length
+        grid = Grid.periodic(0.0, TWO_PI, 50)
+        assert grid.period != TWO_PI
+        f = GridFunction(grid, np.zeros(50))
+        write_field_csv(f, tmp_path / "f.csv", tmp_path / "f.json", (TWO_PI,))
+        assert json.loads((tmp_path / "f.json").read_text())["box_lengths"] == [TWO_PI]

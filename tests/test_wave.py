@@ -1,15 +1,12 @@
+import json
+
 import numpy as np
 import pytest
 
+from codseries.cli import main
 from codseries.engine import StopPolicy, run_cod
 from codseries.grids import Grid, GridFunction, first_diff
-from codseries.wave import (
-    SpaceTimeField,
-    WaveProblem,
-    build_wave_scheme,
-    solve_wave,
-    write_field_csv,
-)
+from codseries.wave import WaveProblem, build_wave_scheme, solve_wave, write_field_csv
 
 TWO_PI = 2.0 * np.pi
 
@@ -26,14 +23,17 @@ def make_problem(nx, eps_fn, s_fn, r_fn, length=TWO_PI):
 
 class TestValidation:
     def test_time_grid_must_start_at_zero(self):
+        x_grid, problem = make_problem(8, np.ones_like, np.sin, np.zeros_like, length=1.0)
         with pytest.raises(ValueError, match="start at 0"):
-            SpaceTimeField(Grid.periodic(0.0, 1.0, 8),
-                           Grid.from_interval(0.5, 1.0, 11), np.zeros((11, 8)))
+            build_wave_scheme(problem, x_grid, Grid.from_interval(0.5, 1.0, 11))
 
     def test_axis_caps(self):
+        x_grid, problem = make_problem(8, np.ones_like, np.sin, np.zeros_like, length=1.0)
         with pytest.raises(ValueError, match="capped"):
-            SpaceTimeField(Grid.periodic(0.0, 1.0, 8),
-                           Grid.from_interval(0.0, 1.0, 4097), np.zeros((4097, 8)))
+            build_wave_scheme(problem, x_grid, Grid.from_interval(0.0, 1.0, 4097))
+        x_wide, wide = make_problem(4096, np.ones_like, np.sin, np.zeros_like)
+        with pytest.raises(ValueError, match="capped"):
+            build_wave_scheme(wide, x_wide, Grid.from_interval(0.0, 1.0, 11))
 
     def test_permittivity_must_be_positive(self):
         x_grid = Grid.periodic(0.0, TWO_PI, 8)
@@ -50,11 +50,14 @@ class TestValidation:
                         GridFunction(x_grid, np.zeros(8)),
                         GridFunction(x_grid, np.zeros(8)))
 
-    def test_row_extraction(self):
-        x_grid = Grid.periodic(0.0, 1.0, 8)
-        t_grid = Grid.from_interval(0.0, 1.0, 5)
-        field = SpaceTimeField(x_grid, t_grid, np.arange(40.0).reshape(5, 8))
-        assert np.allclose(field.row(0.5).values, np.arange(16.0, 24.0))
+    def test_row_extraction(self, tmp_path):
+        # the CLI snapshot at t = 0.5 is time row 2 of the written field
+        assert main(["wave", "--x-size", "8", "--t-max", "1", "--t-size", "5",
+                     "--snapshot", "0.5", "--out-dir", str(tmp_path)]) == 0
+        field = np.loadtxt(tmp_path / "wave_field.csv", delimiter=",", ndmin=2)
+        snapshot = np.loadtxt(tmp_path / "wave_snapshot.csv", delimiter=",", skiprows=1)
+        assert np.array_equal(snapshot[:, 0], Grid.periodic(0.0, 2.0 * np.pi, 8).points())
+        assert np.array_equal(snapshot[:, 1:].ravel(), field[2])
 
 
 class TestClosedForms:
@@ -192,12 +195,11 @@ class TestCsv:
     def test_write_with_metadata(self, tmp_path):
         x_grid = Grid.periodic(0.0, 1.0, 8)
         t_grid = Grid.from_interval(0.0, 1.0, 5)
-        field = SpaceTimeField(x_grid, t_grid, np.arange(40.0).reshape(5, 8))
+        field = GridFunction((t_grid, x_grid), np.arange(40.0).reshape(5, 8))
         data, meta = tmp_path / "w.csv", tmp_path / "w.json"
         write_field_csv(field, data, meta)
         lines = data.read_text().splitlines()
         assert len(lines) == 5
         assert len(lines[0].split(",")) == 16
-        import json
         meta_obj = json.loads(meta.read_text())
         assert meta_obj["t_count"] == 5 and meta_obj["x_count"] == 8

@@ -102,6 +102,14 @@ def _effective(ns, defaults: dict) -> dict:
     return params
 
 
+def _read_profile(path) -> GridFunction:
+    """A sampled ``--from-csv`` profile; unreadable or non-uniform files are usage errors."""
+    try:
+        return read_csv(path)
+    except (OSError, ValueError) as exc:
+        raise UsageError(f"cannot read profile {path}: {exc}")
+
+
 def _out_path(params, name):
     out_dir = str(params["out_dir"])
     os.makedirs(out_dir, exist_ok=True)
@@ -136,7 +144,7 @@ def _cmd_oscillator(ns) -> int:
     t_a = _as_float(params, "t_a")
 
     if params["from_csv"]:
-        sampled = read_csv(params["from_csv"])
+        sampled = _read_profile(params["from_csv"])
         grid = sampled.grid
         w2_values = sampled.values
         points = grid.points()
@@ -271,7 +279,7 @@ def _cmd_stationary(ns) -> int:
     if params["from_csv"]:
         if dims != 1:
             raise UsageError("from_csv potentials are 1D only")
-        sampled = read_csv(params["from_csv"])
+        sampled = _read_profile(params["from_csv"])
         u_values = sampled.values
         size = sampled.grid.count
         box = sampled.grid.period
@@ -334,10 +342,21 @@ def _cmd_tdse(ns) -> int:
     x = grid.points()
     u_expr = parse_expression(str(params["potential"]), ("x", "t"))
     a_expr = parse_expression(str(params["vector_potential"]), ("t",))
-    potential = lambda xv, t: np.broadcast_to(np.asarray(u_expr(x=xv, t=t), float), xv.shape)
-    vector_potential = lambda t: float(a_expr(t=t))
+    # a profile without t is sampled once here rather than at every sub-node
+    if "t" in u_expr.variables:
+        potential = lambda xv, t: np.broadcast_to(np.asarray(u_expr(x=xv, t=t), float), xv.shape)
+    else:
+        potential = np.broadcast_to(u_expr(x=x), x.shape)
+    if "t" in a_expr.variables:
+        vector_potential = lambda t: float(a_expr(t=t))
+    else:
+        vector_potential = float(a_expr())
     packet = np.exp(-((x - x0) ** 2) / (2.0 * sigma ** 2) + 1j * k0 * x)
-    setup = TdseSetup(grid, potential, vector_potential, normalize(GridFunction(grid, packet)))
+    psi0 = normalize(GridFunction(grid, packet))
+    try:
+        setup = TdseSetup(grid, potential, vector_potential, psi0)
+    except ValueError as exc:
+        raise UsageError(str(exc))
     step = PropagatorStep(dt=dt, n_terms=terms, quadrature_nodes=nodes)
 
     final, report = propagate(setup, step, t_final)
@@ -372,9 +391,12 @@ def _cmd_wave(ns) -> int:
     t_grid = Grid.from_interval(0.0, t_max, t_size)
     x = x_grid.points()
     if params["from_csv"]:
-        sampled = read_csv(params["from_csv"])
-        if sampled.grid.count != x_size:
-            raise UsageError("sampled permittivity size does not match x_size")
+        sampled = _read_profile(params["from_csv"])
+        g = sampled.grid
+        if (g.count != x_size or abs(g.start) > 1e-9 * x_grid.step
+                or abs(g.step - x_grid.step) > 1e-9 * x_grid.step):
+            raise UsageError(f"sampled permittivity x column must be the box grid: "
+                             f"start 0, step {x_grid.step:.17g}, {x_size} rows")
         eps_values = sampled.values
     else:
         eps_values = np.broadcast_to(

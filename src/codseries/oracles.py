@@ -117,10 +117,11 @@ def _dense_hamiltonian(setup: TdseSetup, t: float) -> np.ndarray:
     # own spectral kinetic matrix; shares no code with the propagator path
     n = setup.grid.count
     k = 2.0 * np.pi * np.fft.fftfreq(n, d=setup.grid.step)
-    a = setup.vector_potential(t)
+    a = setup.vector_potential(t) if callable(setup.vector_potential) else setup.vector_potential
     spectra = np.fft.fft(np.eye(n), axis=0)
     kinetic = np.fft.ifft((0.5 * (k - a) ** 2)[:, None] * spectra, axis=0)
-    u = setup.potential(setup.grid.points(), t)
+    u = (setup.potential(setup.grid.points(), t) if callable(setup.potential)
+         else setup.potential)
     return kinetic + np.diag(np.asarray(u, dtype=complex))
 
 

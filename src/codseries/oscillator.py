@@ -36,10 +36,10 @@ __all__ = [
 class OscillatorProblem:
     """Oscillator data: sampled w2(t), the two condition points, a and b.
 
-    t_a and t_b must both lie on the grid of ``omega_sq``.  The worked
-    cases all use t_a == t_b; mixed condition points run as stated but the
-    truncated series is not guaranteed to satisfy the derivative condition
-    term by term, so treat that combination as experimental.
+    t_a and t_b must both lie on the grid of ``omega_sq``; they may
+    differ.  Every series term vanishes at t_a and has zero derivative at
+    t_b, so f(t_a) = a holds exactly and f'(t_b) = b to the O(h^2) of the
+    trapezoid integrals.
     """
 
     omega_sq: GridFunction

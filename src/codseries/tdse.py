@@ -22,10 +22,12 @@ periodic grid; the vector potential is spatially uniform so the kinetic
 part stays diagonal per mode, where i d/dx acts on exp(i k x) as -k.
 """
 
-import numpy as np
-import numpy.polynomial.chebyshev as ncheb
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
+
+import numpy as np
+import numpy.polynomial.chebyshev as ncheb
 
 from .grids import Grid, GridFunction, wavenumbers
 
@@ -50,17 +52,23 @@ def normalize(psi: GridFunction) -> GridFunction:
 
 @dataclass
 class TdseSetup:
-    """Grid, interaction callables and the initial state.
+    """Grid, interaction data and the initial state.
 
-    ``potential`` maps (x_array, t) to real values; ``vector_potential``
-    maps t to the spatially uniform A(t).  The initial state must be
-    L2-normalized to 1 within 1e-12.
+    ``potential`` is either a callable mapping (x_array, t) to real values
+    or, for a U(x) without t, a real finite array of the grid's shape.
+    ``vector_potential`` is either a callable mapping t to the spatially
+    uniform A(t) or, for a constant A, a real finite number.  Array and
+    number data are reused at every sub-node of every step, where callables
+    are evaluated.  The initial state must be L2-normalized to 1 within 1e-12.
+    ``x`` and ``k`` hold the grid points and wavenumbers.
     """
 
     grid: Grid
-    potential: Callable[[np.ndarray, float], np.ndarray]
-    vector_potential: Callable[[float], float]
+    potential: np.ndarray | Callable[[np.ndarray, float], np.ndarray]
+    vector_potential: float | Callable[[float], float]
     psi0: GridFunction
+    x: np.ndarray = field(init=False, repr=False, compare=False)
+    k: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.psi0.grid != self.grid:
@@ -68,6 +76,26 @@ class TdseSetup:
         drift = abs(self.psi0.l2_norm() - 1.0)
         if drift > 1e-12:
             raise ValueError(f"psi0 must be L2-normalized to 1, off by {drift:g}")
+        if not callable(self.potential):
+            u = np.asarray(self.potential)
+            if u.shape != (self.grid.count,):
+                raise ValueError(f"potential array must have shape ({self.grid.count},), "
+                                 f"got {u.shape}")
+            if np.iscomplexobj(u):
+                raise ValueError("potential array must be real")
+            u = u.astype(float)
+            if not np.isfinite(u).all():
+                raise ValueError("potential array must be finite")
+            self.potential = u
+        if not callable(self.vector_potential):
+            if np.iscomplexobj(self.vector_potential):
+                raise ValueError("vector potential must be real")
+            a = float(self.vector_potential)
+            if not math.isfinite(a):
+                raise ValueError(f"vector potential must be finite, got {a}")
+            self.vector_potential = a
+        self.x = self.grid.points()
+        self.k = wavenumbers(self.grid)
 
 
 @dataclass
@@ -121,31 +149,42 @@ class PropagatorStep:
         return self._rule
 
 
+def _node_samples(setup: TdseSetup, times: np.ndarray):
+    """U and A at ``times``: an (m, n) and an (m,) stack of samples.
+
+    Array and number data give one row of each instead, with no call and
+    no copy; it broadcasts against the m rows of every stack it meets.
+    """
+    if callable(setup.potential):
+        n = setup.x.size
+        u = np.stack([np.broadcast_to(np.asarray(setup.potential(setup.x, t)), (n,))
+                      for t in times])
+    else:
+        u = setup.potential[None, :]
+    if callable(setup.vector_potential):
+        a = np.array([setup.vector_potential(t) for t in times])
+    else:
+        a = np.array([setup.vector_potential])
+    return u, a
+
+
 def hamiltonian_apply(setup: TdseSetup, psi: GridFunction, t: float) -> GridFunction:
     """Apply 0.5*(i d/dx + A(t))^2 + U(., t): spectral kinetic part plus
     pointwise potential."""
-    k = wavenumbers(setup.grid)
-    a = setup.vector_potential(t)
-    kinetic = np.fft.ifft(0.5 * (k - a) ** 2 * np.fft.fft(psi.values))
-    u = setup.potential(setup.grid.points(), t)
-    return psi.with_values(kinetic + u * psi.values)
+    u, a = _node_samples(setup, np.array([t]))
+    kinetic = np.fft.ifft(0.5 * (setup.k - a[0]) ** 2 * np.fft.fft(psi.values))
+    return psi.with_values(kinetic + u[0] * psi.values)
 
 
 def cod_step(setup: TdseSetup, step: PropagatorStep, psi: GridFunction,
              t: float) -> GridFunction:
     """Advance psi from t to t + dt with the n_terms-term series."""
     taus, q = step.integration_rule()
-    m = taus.size
-    x = setup.grid.points()
-    k = wavenumbers(setup.grid)
-    a_nodes = np.array([setup.vector_potential(t + tau) for tau in taus])
-    u_nodes = np.stack([
-        np.broadcast_to(np.asarray(setup.potential(x, t + tau)), x.shape)
-        for tau in taus
-    ])
-    kinetic_factor = 0.5 * (k[None, :] - a_nodes[:, None]) ** 2
+    u_nodes, a_nodes = _node_samples(setup, t + taus)
+    kinetic_factor = 0.5 * (setup.k[None, :] - a_nodes[:, None]) ** 2
 
-    terms = np.broadcast_to(psi.values, (m, x.size)).astype(complex)
+    terms = np.empty((taus.size, setup.x.size), dtype=complex)
+    terms[:] = psi.values
     total = psi.values.astype(complex)
     for _ in range(step.n_terms):
         h_terms = (
@@ -170,10 +209,9 @@ class PropagationReport:
 
 def spectral_radius_estimate(setup: TdseSetup, t: float = 0.0) -> float:
     """Crude bound max_k 0.5*(|k|+|A|)^2 + max|U| used for the dt warning."""
-    k_max = float(np.max(np.abs(wavenumbers(setup.grid))))
-    a = abs(setup.vector_potential(t))
-    u = setup.potential(setup.grid.points(), t)
-    return 0.5 * (k_max + a) ** 2 + float(np.max(np.abs(u)))
+    u, a = _node_samples(setup, np.array([t]))
+    k_max = float(np.max(np.abs(setup.k)))
+    return 0.5 * (k_max + abs(float(a[0]))) ** 2 + float(np.max(np.abs(u)))
 
 
 def propagate(setup: TdseSetup, step: PropagatorStep, t_final: float,

@@ -6,6 +6,7 @@ import pytest
 
 from codseries import cli
 from codseries.cli import main
+from codseries.expressions import Expression
 from codseries.grids import Grid, GridFunction, write_csv
 
 
@@ -119,6 +120,35 @@ class TestArgumentErrors:
                     "--out-dir", str(tmp_path)]) == 3
 
 
+class TestFromCsvErrors:
+    """Every --from-csv reader maps an unusable file to exit 3 with a message."""
+
+    COMMANDS = {
+        "oscillator": ["oscillator"],
+        "stationary": ["stationary"],
+        "wave": ["wave", "--x-size", "4", "--t-size", "11"],
+    }
+    FILES = {
+        "missing": None,
+        "non-uniform": "x,re,im\n0,1,0\n0.1,1,0\n0.5,1,0\n0.6,1,0\n",
+        "malformed": "x,re,im\n0,1,0\n0.1,one,0\n",
+        "two-columns": "x,re\n0,1\n0.1,1\n",
+        "one-row": "x,re,im\n0,1,0\n",
+    }
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    @pytest.mark.parametrize("kind", sorted(FILES))
+    def test_unusable_file_exits_3(self, tmp_path, capsys, command, kind):
+        path = tmp_path / "profile.csv"
+        if self.FILES[kind] is not None:
+            path.write_text(self.FILES[kind])
+        code = run(self.COMMANDS[command] + ["--from-csv", str(path),
+                                             "--out-dir", str(tmp_path / "out")])
+        assert code == 3
+        assert "cannot read profile" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
 class TestPowerSeriesCommand:
     def test_inequality_column_all_true(self, tmp_path):
         code = run(["power-series", "--alpha", "1", "--terms", "25",
@@ -221,6 +251,34 @@ class TestTdseCommand:
                     "--out-dir", str(tmp_path)])
         assert code == 1
 
+    @pytest.mark.parametrize("potential, vector_potential, calls", [
+        ("0.5*x^2", "0", 2),         # both sampled once per run
+        ("0.5*x^2", "0.1*t", 2 + 10 * 5),   # A at 5 sub-nodes of 10 steps
+        ("0.5*x^2*t", "0", 2 + 10 * 5),
+    ])
+    def test_t_free_profiles_are_sampled_once(self, tmp_path, monkeypatch,
+                                              potential, vector_potential, calls):
+        count = [0]
+        evaluate = Expression.__call__
+
+        def counted(self, **env):
+            count[0] += 1
+            return evaluate(self, **env)
+
+        monkeypatch.setattr(Expression, "__call__", counted)
+        assert run(["tdse", "--size", "16", "--potential", potential,
+                    "--vector-potential", vector_potential, "--dt", "0.01",
+                    "--t-final", "0.1", "--out-dir", str(tmp_path)]) == 0
+        assert count[0] == calls
+
+    @pytest.mark.filterwarnings("ignore:divide by zero")
+    def test_non_finite_t_free_potential_exits_3(self, tmp_path, capsys):
+        # x = 0 is a grid point of the default box
+        code = run(["tdse", "--size", "16", "--potential", "1/x",
+                    "--out-dir", str(tmp_path)])
+        assert code == 3
+        assert "finite" in capsys.readouterr().err
+
 
 class TestWaveCommand:
     def test_standing_wave_with_snapshot(self, tmp_path):
@@ -248,6 +306,27 @@ class TestWaveCommand:
     def test_snapshot_must_be_on_grid(self, tmp_path):
         assert run(["wave", "--x-size", "16", "--t-size", "101",
                     "--snapshot", "0.5001", "--out-dir", str(tmp_path)]) == 3
+
+    def test_from_csv_on_the_box_grid(self, tmp_path):
+        x_grid = Grid.periodic(0.0, 2.0 * np.pi, 16)
+        write_csv(GridFunction(x_grid, 1.0 + 0.2 * np.cos(x_grid.points())),
+                  tmp_path / "eps.csv")
+        assert run(["wave", "--from-csv", str(tmp_path / "eps.csv"), "--x-size", "16",
+                    "--t-size", "51", "--t-max", "0.5", "--out-dir", str(tmp_path)]) == 0
+
+    @pytest.mark.parametrize("grid", [
+        Grid(0.0, 0.5, 16),                       # right count, wrong step
+        Grid(0.1, 2.0 * np.pi / 16, 16),          # right step, shifted start
+        Grid.periodic(0.0, 2.0 * np.pi, 15),      # wrong count
+    ])
+    def test_from_csv_off_the_box_grid_exits_3(self, tmp_path, capsys, grid):
+        # a 16-row profile at step 0.5 once ran as if sampled at step 2 pi / 16
+        write_csv(GridFunction(grid, np.ones(grid.count)), tmp_path / "eps.csv")
+        assert run(["wave", "--from-csv", str(tmp_path / "eps.csv"), "--x-size", "16",
+                    "--t-size", "51", "--t-max", "0.5",
+                    "--out-dir", str(tmp_path / "out")]) == 3
+        assert "must be the box grid" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_negative_permittivity_rejected(self, tmp_path):
         assert run(["wave", "--epsilon", "cos(x)", "--x-size", "16",

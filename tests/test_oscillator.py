@@ -55,6 +55,27 @@ class TestScheme:
         assert np.allclose(run.partial_sum.values, 1.0 + 2.0 * grid.points(),
                            atol=1e-14)
 
+    def test_mixed_condition_points_meet_both_conditions(self):
+        # f'' + f = 0, f(0) = 1, f'(0.5) = 0.3: f = cos t + B sin t
+        b_coef = (0.3 + math.sin(0.5)) / math.cos(0.5)
+        derivative_errors = []
+        for count in (1001, 2001):
+            grid = Grid.from_interval(0.0, 1.0, count)
+            t = grid.points()
+            problem = OscillatorProblem(GridFunction(grid, np.ones(count)),
+                                        0.0, 0.5, 1.0, 0.3)
+            run = run_cod(build_scheme(problem), StopPolicy(tol=1e-10, max_terms=40))
+            assert run.stop_reason == "converged"
+            f = run.partial_sum.values
+            assert abs(f[0] - 1.0) <= 1e-14
+            i = grid.index_of(0.5)
+            derivative_errors.append(abs((f[i + 1] - f[i - 1]) / (2.0 * grid.step) - 0.3))
+            closed_form = np.cos(t) + b_coef * np.sin(t)
+            assert np.max(np.abs(f - closed_form)) <= 5e-8 * (1000.0 / (count - 1)) ** 2
+        assert derivative_errors[0] <= 1e-7
+        # both conditions hold to O(h^2): halving the step quarters the error
+        assert 3.5 <= derivative_errors[0] / derivative_errors[1] <= 4.5
+
 
 class TestTermBound:
     def test_reference_values(self):

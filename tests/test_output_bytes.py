@@ -41,6 +41,13 @@ CORPUS = {
                              "resolvent", "--source", "delta"],
     "tdse": ["tdse", "--size", "32", "--potential", "0.5*x^2", "--k0", "1",
              "--dt", "1e-2", "--t-final", "0.1"],
+    # t-dependent U and A keep the per-node sampling path pinned
+    "tdse-td": ["tdse", "--size", "32", "--potential", "0.5*x^2+0.1*t*cos(x)",
+                "--vector-potential", "0.2*sin(t)", "--k0", "1",
+                "--dt", "1e-2", "--t-final", "0.1"],
+    "tdse-static-a": ["tdse", "--size", "32", "--potential", "0.2*cos(x)",
+                      "--vector-potential", "0.3", "--k0", "1",
+                      "--dt", "1e-2", "--t-final", "0.1"],
     "wave": ["wave", "--epsilon", "1+0.2*cos(x)", "--x-size", "32", "--t-max", "0.5",
              "--t-size", "51", "--snapshot", "0.2"],
 }
@@ -135,6 +142,18 @@ GOLDEN = {
             '8131965e4f8a485d9043c49d9655c0fcbc5e5e3f58abd67f3e60ba7543845038',
         'tdse_steps.jsonl':
             'cba42fbe8da162f5429abe2949d3e5989f761f60541a763a26be61d9a98eec83',
+    },
+    'tdse-static-a': {
+        'tdse_final.csv':
+            '168dc60c7ec9141f8855c10a89f42db56ed3e800ae4f7cf4c3c0457b07bfaf73',
+        'tdse_steps.jsonl':
+            'c45daa98f01ebde028b38919d3958846e7d1271445f04de2c7e1f126924b74a4',
+    },
+    'tdse-td': {
+        'tdse_final.csv':
+            '29534510c9c9ee6e0d3f8ae5cf5bf4ede7bb1062810be8798547a7e59ab18435',
+        'tdse_steps.jsonl':
+            'd3f243e0501758128981ea8eaf070f7dae42c0d347c7ce862ca4ae421bf3463e',
     },
     'wave': {
         'wave_field.csv':

@@ -61,6 +61,28 @@ class TestSetupValidation:
         with pytest.raises(ValueError, match="different grid"):
             TdseSetup(grid, ZERO_POTENTIAL, ZERO_FIELD, psi)
 
+    @pytest.mark.parametrize("potential, match", [
+        (np.zeros(15), "shape"),
+        (np.zeros((16, 1)), "shape"),
+        (np.zeros(16, dtype=complex), "real"),
+        (np.where(np.arange(16) == 3, np.inf, 0.0), "finite"),
+        (np.where(np.arange(16) == 3, np.nan, 0.0), "finite"),
+    ])
+    def test_rejects_bad_potential_array(self, potential, match):
+        grid = Grid.periodic(0.0, 2.0 * np.pi, 16)
+        psi = normalize(GridFunction(grid, np.ones(16)))
+        with pytest.raises(ValueError, match=match):
+            TdseSetup(grid, potential, 0.0, psi)
+
+    @pytest.mark.parametrize("a, match", [
+        (0.5j, "real"), (np.complex128(1.0), "real"), (math.inf, "finite"), (math.nan, "finite"),
+    ])
+    def test_rejects_bad_vector_potential_number(self, a, match):
+        grid = Grid.periodic(0.0, 2.0 * np.pi, 16)
+        psi = normalize(GridFunction(grid, np.ones(16)))
+        with pytest.raises(ValueError, match=match):
+            TdseSetup(grid, ZERO_POTENTIAL, a, psi)
+
     def test_step_validation(self):
         with pytest.raises(ValueError):
             PropagatorStep(dt=0.0, n_terms=2)
@@ -69,6 +91,70 @@ class TestSetupValidation:
         with pytest.raises(ValueError):
             PropagatorStep(dt=0.1, n_terms=2, quadrature_nodes=1)
         assert PropagatorStep(dt=0.1, n_terms=3).nodes == 4
+
+
+class TestStaticData:
+    """Array and number data must reproduce the equivalent callables bit for bit."""
+
+    CASES = [  # (n, length, n_terms, quadrature_nodes)
+        (16, 2.0 * np.pi, 1, None),
+        (32, 20.0, 4, None),
+        (32, 20.0, 3, 7),
+        (64, 8.0 * np.pi, 2, 2),
+        (48, 10.0, 5, None),
+    ]
+
+    @staticmethod
+    def _pair(n, length, a0=0.3):
+        grid = Grid.periodic(-length / 2.0, length, n)
+        x = grid.points()
+        psi = normalize(GridFunction(grid, np.exp(-(x - 0.5) ** 2 + 1j * x)))
+        u_of_x = lambda xv: 0.4 * xv ** 2 + 0.3 * np.cos(xv)
+        dynamic = TdseSetup(grid, lambda xv, t: u_of_x(xv), lambda t: a0, psi)
+        static = TdseSetup(grid, u_of_x(x), a0, psi)
+        return dynamic, static
+
+    @pytest.mark.parametrize("n, length, n_terms, nodes", CASES)
+    def test_step_matches_callables(self, n, length, n_terms, nodes):
+        dynamic, static = self._pair(n, length)
+        step = PropagatorStep(dt=1e-3, n_terms=n_terms, quadrature_nodes=nodes)
+        for t in (0.0, 0.37):
+            a = cod_step(dynamic, step, dynamic.psi0, t)
+            b = cod_step(static, step, static.psi0, t)
+            assert np.array_equal(a.values, b.values)
+
+    @pytest.mark.parametrize("n, length, n_terms, nodes", CASES)
+    def test_propagate_matches_callables(self, n, length, n_terms, nodes):
+        dynamic, static = self._pair(n, length)
+        step = PropagatorStep(dt=1e-3, n_terms=n_terms, quadrature_nodes=nodes)
+        final_a, report_a = propagate(dynamic, step, 2e-2)
+        final_b, report_b = propagate(static, step, 2e-2)
+        assert np.array_equal(final_a.values, final_b.values)
+        assert report_a.records == report_b.records
+        assert report_a.warnings == report_b.warnings
+
+    def test_mixed_forms_and_hamiltonian_match(self):
+        dynamic, static = self._pair(32, 20.0)
+        mixed = TdseSetup(static.grid, static.potential, dynamic.vector_potential,
+                          static.psi0)
+        step = PropagatorStep(dt=1e-3, n_terms=4)
+        reference = cod_step(dynamic, step, dynamic.psi0, 0.0)
+        assert np.array_equal(cod_step(mixed, step, mixed.psi0, 0.0).values,
+                              reference.values)
+        assert np.array_equal(hamiltonian_apply(static, static.psi0, 0.2).values,
+                              hamiltonian_apply(dynamic, dynamic.psi0, 0.2).values)
+
+    def test_oracle_accepts_static_data(self):
+        dynamic, static = self._pair(16, 2.0 * np.pi)
+        a = crank_nicolson(dynamic, 1e-2, 0.1, validate=False)
+        b = crank_nicolson(static, 1e-2, 0.1, validate=False)
+        assert np.array_equal(a.solution.values, b.solution.values)
+
+    def test_static_data_is_stored_as_float(self):
+        _, static = self._pair(16, 2.0 * np.pi)
+        integer = TdseSetup(static.grid, np.arange(16), 1, static.psi0)
+        assert integer.potential.dtype == np.float64
+        assert integer.vector_potential == 1.0 and isinstance(integer.vector_potential, float)
 
 
 class TestStep:

@@ -103,11 +103,15 @@ def _effective(ns, defaults: dict) -> dict:
 
 
 def _read_profile(path) -> GridFunction:
-    """A sampled ``--from-csv`` profile; unreadable or non-uniform files are usage errors."""
+    """A sampled ``--from-csv`` profile; unreadable, non-uniform or non-finite
+    files are usage errors."""
     try:
-        return read_csv(path)
+        profile = read_csv(path)
     except (OSError, ValueError) as exc:
         raise UsageError(f"cannot read profile {path}: {exc}")
+    if not np.isfinite(profile.values).all():
+        raise UsageError(f"cannot read profile {path}: non-finite sample")
+    return profile
 
 
 def _out_path(params, name):
@@ -280,6 +284,9 @@ def _cmd_stationary(ns) -> int:
         if dims != 1:
             raise UsageError("from_csv potentials are 1D only")
         sampled = _read_profile(params["from_csv"])
+        if abs(sampled.grid.start) > 1e-9 * sampled.grid.step:
+            raise UsageError(f"sampled potential x column must start at 0, "
+                             f"got {sampled.grid.start:.17g}")
         u_values = sampled.values
         size = sampled.grid.count
         box = sampled.grid.period

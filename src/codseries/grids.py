@@ -231,7 +231,7 @@ def read_csv(path) -> GridFunction:
     if x.size < 2:
         raise ValueError("need at least 2 rows")
     step = x[1] - x[0]
-    if step <= 0 or np.max(np.abs(np.diff(x) - step)) > 1e-9 * step:
+    if not (step > 0 and np.max(np.abs(np.diff(x) - step)) <= 1e-9 * step):
         raise ValueError("grid in CSV is not uniform")
     grid = Grid(float(x[0]), float(step), int(x.size))
     return GridFunction(grid, data[:, 1] + 1j * data[:, 2])

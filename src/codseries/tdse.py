@@ -4,25 +4,28 @@ One step of length dt accumulates the iterated-integral series
 
     psi(t+dt) = sum_n term_n(t+dt),
     term_0 = psi(t),
-    term_{n+1}(t') = -i * integral_t^{t'} H(tau) term_n(tau) dtau,
+    term_{n+1}(t') = -i * integral_t^{t'} H(tau) term_n(tau) dtau.
 
-with every term stored on sub-nodes inside the step.  No time ordering is
-introduced: for a time-independent Hamiltonian the N-term step is exactly
-the degree-N Taylor polynomial of the evolution operator, which pins the
-per-step accuracy at order N+1.
+No time ordering is introduced: for a time-independent Hamiltonian the
+N-term step is exactly the degree-N Taylor polynomial of the evolution
+operator, which pins the per-step accuracy at order N+1.
 
-The in-step cumulative integrals are evaluated with a polynomial
-collocation rule on Chebyshev-Lobatto sub-nodes.  The rule integrates
-polynomial integrands of degree < nodes exactly, which the Taylor-equality
-property requires (a trapezoid rule on the sub-nodes would cap every step
-at second order regardless of the term count).
+A step takes one of two paths, chosen from the form of the data.  With U
+an array, A a number and nodes >= n_terms, the iterated integrals have the
+closed form term_n = (-i dt / n) H term_{n-1}, and the step runs that
+recurrence on the state.  Every other setup (a callable U or A, or fewer
+sub-nodes than terms) carries each term on Chebyshev-Lobatto sub-nodes
+inside the step and evaluates the in-step cumulative integrals with a
+polynomial collocation rule.  The rule integrates polynomial integrands of
+degree < nodes exactly, so with nodes >= n_terms both paths give the
+Taylor polynomial to round-off (a trapezoid rule on the sub-nodes would
+cap every step at second order regardless of the term count).
 
 The Hamiltonian 0.5*(i d/dx + A(t))^2 + U(x, t) is applied spectrally on a
 periodic grid; the vector potential is spatially uniform so the kinetic
 part stays diagonal per mode, where i d/dx acts on exp(i k x) as -k.
 """
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -57,10 +60,15 @@ class TdseSetup:
     ``potential`` is either a callable mapping (x_array, t) to real values
     or, for a U(x) without t, a real finite array of the grid's shape.
     ``vector_potential`` is either a callable mapping t to the spatially
-    uniform A(t) or, for a constant A, a real finite number.  Array and
-    number data are reused at every sub-node of every step, where callables
-    are evaluated.  The initial state must be L2-normalized to 1 within 1e-12.
-    ``x`` and ``k`` hold the grid points and wavenumbers.
+    uniform A(t) or, for a constant A, a real finite number.  Callables are
+    evaluated at every sub-node of every step.  Array and number data are
+    sampled once: with both, :func:`cod_step` takes the Taylor path, and a
+    mixed setup reuses them at every sub-node.  The initial state must be
+    L2-normalized to 1 within 1e-12, and U and A finite at t = 0.  ``x``
+    and ``k`` hold the grid points and wavenumbers; ``kinetic`` holds
+    0.5*(k - A)^2 for a number A and is None for a callable one;
+    ``spectral_radius`` is the crude bound max_k 0.5*(|k|+|A|)^2 + max|U|
+    at t = 0 that :func:`propagate` checks dt against.
     """
 
     grid: Grid
@@ -69,6 +77,8 @@ class TdseSetup:
     psi0: GridFunction
     x: np.ndarray = field(init=False, repr=False, compare=False)
     k: np.ndarray = field(init=False, repr=False, compare=False)
+    kinetic: Optional[np.ndarray] = field(init=False, repr=False, compare=False)
+    spectral_radius: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.psi0.grid != self.grid:
@@ -83,30 +93,36 @@ class TdseSetup:
                                  f"got {u.shape}")
             if np.iscomplexobj(u):
                 raise ValueError("potential array must be real")
-            u = u.astype(float)
-            if not np.isfinite(u).all():
-                raise ValueError("potential array must be finite")
-            self.potential = u
+            self.potential = u.astype(float)
         if not callable(self.vector_potential):
             if np.iscomplexobj(self.vector_potential):
                 raise ValueError("vector potential must be real")
-            a = float(self.vector_potential)
-            if not math.isfinite(a):
-                raise ValueError(f"vector potential must be finite, got {a}")
-            self.vector_potential = a
+            self.vector_potential = float(self.vector_potential)
         self.x = self.grid.points()
         self.k = wavenumbers(self.grid)
+        u0, a0 = _node_samples(self, np.array([0.0]))
+        if not np.isfinite(u0).all():
+            raise ValueError("potential must be finite on the grid at t = 0")
+        if not np.isfinite(a0).all():
+            raise ValueError(f"vector potential must be finite at t = 0, got {a0[0]}")
+        k_max = float(np.max(np.abs(self.k)))
+        self.spectral_radius = (0.5 * (k_max + abs(float(a0[0]))) ** 2
+                                + float(np.max(np.abs(u0))))
+        self.kinetic = (None if callable(self.vector_potential)
+                        else 0.5 * (self.k - self.vector_potential) ** 2)
 
 
 @dataclass
 class PropagatorStep:
     """Step configuration: dt, series term count, sub-node count.
 
-    quadrature_nodes defaults to n_terms + 1, the minimum that keeps the
-    in-step integrals exact on the polynomial integrands a
-    time-independent Hamiltonian produces.  dt times the spectral radius
-    of the Hamiltonian should stay below 1; larger values are reported as
-    a warning by :func:`propagate`.
+    nodes >= n_terms keeps the in-step integrals exact on the polynomial
+    integrands a time-independent Hamiltonian produces, and lets t-free
+    array/number data take the Taylor path of :func:`cod_step`.
+    quadrature_nodes defaults to n_terms + 1, one above that minimum; the
+    recorded outputs of t-dependent runs use that default.  dt times the
+    spectral radius of the Hamiltonian should stay below 1; larger values
+    are reported as a warning by :func:`propagate`.
     """
 
     dt: float
@@ -179,6 +195,23 @@ def hamiltonian_apply(setup: TdseSetup, psi: GridFunction, t: float) -> GridFunc
 def cod_step(setup: TdseSetup, step: PropagatorStep, psi: GridFunction,
              t: float) -> GridFunction:
     """Advance psi from t to t + dt with the n_terms-term series."""
+    if callable(setup.potential) or setup.kinetic is None or step.nodes < step.n_terms:
+        total = _sub_node_step(setup, step, psi, t)
+    else:
+        term = psi.values.astype(complex)
+        total = term.copy()
+        for n in range(1, step.n_terms + 1):
+            term = (-1j * step.dt / n) * (np.fft.ifft(setup.kinetic * np.fft.fft(term))
+                                          + setup.potential * term)
+            total += term
+    if not np.isfinite(total).all():
+        raise ValueError("non-finite values in propagation step")
+    return psi.with_values(total)
+
+
+def _sub_node_step(setup: TdseSetup, step: PropagatorStep, psi: GridFunction,
+                   t: float) -> np.ndarray:
+    """The series with every term carried on the step's sub-nodes."""
     taus, q = step.integration_rule()
     u_nodes, a_nodes = _node_samples(setup, t + taus)
     kinetic_factor = 0.5 * (setup.k[None, :] - a_nodes[:, None]) ** 2
@@ -193,9 +226,7 @@ def cod_step(setup: TdseSetup, step: PropagatorStep, psi: GridFunction,
         )
         terms = -1j * (q @ h_terms)
         total = total + terms[-1]
-    if not np.isfinite(total).all():
-        raise ValueError("non-finite values in propagation step")
-    return psi.with_values(total)
+    return total
 
 
 @dataclass
@@ -205,13 +236,6 @@ class PropagationReport:
     records: list
     warnings: list
     states: Optional[list] = None
-
-
-def spectral_radius_estimate(setup: TdseSetup, t: float = 0.0) -> float:
-    """Crude bound max_k 0.5*(|k|+|A|)^2 + max|U| used for the dt warning."""
-    u, a = _node_samples(setup, np.array([t]))
-    k_max = float(np.max(np.abs(setup.k)))
-    return 0.5 * (k_max + abs(float(a[0]))) ** 2 + float(np.max(np.abs(u)))
 
 
 def propagate(setup: TdseSetup, step: PropagatorStep, t_final: float,
@@ -227,10 +251,9 @@ def propagate(setup: TdseSetup, step: PropagatorStep, t_final: float,
         raise ValueError("t_final must be a positive multiple of dt")
 
     warnings = []
-    rho = spectral_radius_estimate(setup)
-    if step.dt * rho >= 1.0:
+    if step.dt * setup.spectral_radius >= 1.0:
         warnings.append(
-            f"dt * spectral radius estimate = {step.dt * rho:.3g} >= 1; "
+            f"dt * spectral radius estimate = {step.dt * setup.spectral_radius:.3g} >= 1; "
             "the truncated step may lose accuracy or amplify high modes"
         )
 

@@ -134,8 +134,13 @@ class TestFromCsvErrors:
         "malformed": "x,re,im\n0,1,0\n0.1,one,0\n",
         "two-columns": "x,re\n0,1\n0.1,1\n",
         "one-row": "x,re,im\n0,1,0\n",
+        # non-finite samples once reached the solvers and exited 1
+        "nan-value": "x,re,im\n0,1,0\n0.1,nan,0\n0.2,1,0\n0.3,1,0\n",
+        "inf-imaginary": "x,re,im\n0,1,0\n0.1,1,inf\n0.2,1,0\n0.3,1,0\n",
+        "nan-x": "x,re,im\n0,1,0\n0.1,1,0\n0.2,1,0\nnan,1,0\n",
     }
 
+    @pytest.mark.filterwarnings("ignore:invalid value")  # 1j * inf
     @pytest.mark.parametrize("command", sorted(COMMANDS))
     @pytest.mark.parametrize("kind", sorted(FILES))
     def test_unusable_file_exits_3(self, tmp_path, capsys, command, kind):
@@ -219,6 +224,23 @@ class TestStationaryCommand:
         assert run(["stationary", "--from-csv", str(tmp_path / "u.csv"),
                     "--out-dir", str(tmp_path)]) == 3
 
+    def test_from_csv_must_start_at_zero(self, tmp_path, capsys):
+        # a profile sampled from -pi once ran with its first row labelled x = 0
+        grid = Grid.periodic(-np.pi, 2.0 * np.pi, 16)
+        write_csv(GridFunction(grid, 0.1 * np.cos(grid.points())), tmp_path / "u.csv")
+        assert run(["stationary", "--from-csv", str(tmp_path / "u.csv"),
+                    "--out-dir", str(tmp_path / "out")]) == 3
+        assert "must start at 0" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_from_csv_starting_at_zero_runs(self, tmp_path):
+        grid = Grid.periodic(0.0, 2.0 * np.pi, 16)
+        write_csv(GridFunction(grid, 0.1 * np.cos(grid.points())), tmp_path / "u.csv")
+        assert run(["stationary", "--from-csv", str(tmp_path / "u.csv"),
+                    "--out-dir", str(tmp_path)]) == 0
+        first = (tmp_path / "stationary_field.csv").read_text().splitlines()[1]
+        assert float(first.split(",")[0]) == 0.0
+
     def test_resolvent_nonzero_generating_exit_code(self, tmp_path, capsys):
         # a constant is not annihilated by 2E + Laplacian: a solver error
         assert run(["stationary", "--variant", "resolvent", "--psi-g-const", "1",
@@ -270,6 +292,16 @@ class TestTdseCommand:
                     "--vector-potential", vector_potential, "--dt", "0.01",
                     "--t-final", "0.1", "--out-dir", str(tmp_path)]) == 0
         assert count[0] == calls
+
+    @pytest.mark.filterwarnings("ignore:divide by zero", "ignore:invalid value")
+    @pytest.mark.parametrize("flag, value", [("--potential", "t/x"),
+                                             ("--vector-potential", "1/t")])
+    def test_non_finite_t_dependent_profile_exits_3(self, tmp_path, capsys, flag, value):
+        # once a solver error (exit 1) after the first step
+        code = run(["tdse", "--size", "16", flag, value, "--out-dir", str(tmp_path / "out")])
+        assert code == 3
+        assert "finite" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.filterwarnings("ignore:divide by zero")
     def test_non_finite_t_free_potential_exits_3(self, tmp_path, capsys):

@@ -48,6 +48,9 @@ CORPUS = {
     "tdse-static-a": ["tdse", "--size", "32", "--potential", "0.2*cos(x)",
                       "--vector-potential", "0.3", "--k0", "1",
                       "--dt", "1e-2", "--t-final", "0.1"],
+    # t-free data with fewer sub-nodes than terms stays on the sub-node path
+    "tdse-few-nodes": ["tdse", "--size", "32", "--potential", "0.5*x^2", "--terms", "4",
+                       "--nodes", "3", "--k0", "1", "--dt", "1e-2", "--t-final", "0.1"],
     "wave": ["wave", "--epsilon", "1+0.2*cos(x)", "--x-size", "32", "--t-max", "0.5",
              "--t-size", "51", "--snapshot", "0.2"],
 }
@@ -139,13 +142,19 @@ GOLDEN = {
     },
     'tdse': {
         'tdse_final.csv':
-            '8131965e4f8a485d9043c49d9655c0fcbc5e5e3f58abd67f3e60ba7543845038',
+            '75064d2492027212ae145c850f4c9f0e6bc5823143103e6648b65f304e4d1381',
+        'tdse_steps.jsonl':
+            'cba42fbe8da162f5429abe2949d3e5989f761f60541a763a26be61d9a98eec83',
+    },
+    'tdse-few-nodes': {
+        'tdse_final.csv':
+            '2790859a447abc62023497a5e27e7ce99dccfdec1a178aa7ceb57492f6618eae',
         'tdse_steps.jsonl':
             'cba42fbe8da162f5429abe2949d3e5989f761f60541a763a26be61d9a98eec83',
     },
     'tdse-static-a': {
         'tdse_final.csv':
-            '168dc60c7ec9141f8855c10a89f42db56ed3e800ae4f7cf4c3c0457b07bfaf73',
+            'c69b16ab187d73fefe2f1c412913a47d146d2567c1c9edb591cd6d061f6e3a14',
         'tdse_steps.jsonl':
             'c45daa98f01ebde028b38919d3958846e7d1271445f04de2c7e1f126924b74a4',
     },

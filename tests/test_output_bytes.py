@@ -37,6 +37,11 @@ CORPUS = {
     "stationary-2d": ["stationary", "--dims", "2", "--size", "32", "--variant",
                       "resolvent", "--source", "delta", "--energy", "-0.5",
                       "--potential", "0.2*(cos(x)+cos(y))"],
+    # complex generating data keeps the complex FFT path pinned
+    "stationary-complex": ["stationary", "--size", "32", "--potential", "0.3*cos(x)",
+                           "--psi-g-const", "1+0.5j", "--energy", "-0.1"],
+    "stationary-2d-complex": ["stationary", "--dims", "2", "--size", "16", "--potential",
+                              "0.1*cos(x)*cos(y)", "--psi-g-const", "0.5-1j"],
     "stationary-2d-size50": ["stationary", "--dims", "2", "--size", "50", "--variant",
                              "resolvent", "--source", "delta"],
     "tdse": ["tdse", "--size", "32", "--potential", "0.5*x^2", "--k0", "1",
@@ -132,6 +137,14 @@ GOLDEN = {
         'stationary_report.json':
             '71aade34fb87e15757382a9acfef89869e90eedb1a590f99f2411df53e1ee2fd',
     },
+    'stationary-2d-complex': {
+        'stationary_field.csv':
+            '38fc4990569977f25c32881a6b9624ba4ff24a02f1989a49cdef048d596b2830',
+        'stationary_field.json':
+            '451df60c68bb1c998b94da448fd870b2215d4c320b36412f253adedd1b38d549',
+        'stationary_report.json':
+            'a79db3a86cece17861c6fb0f24d6729e6356c3efc9c85e304eaa76c283e1febc',
+    },
     'stationary-2d-size50': {
         'stationary_field.csv':
             '33d2260230480eedec1fae22c1c0b2010e4f7133c9ffd30067acabba88624aec',
@@ -139,6 +152,14 @@ GOLDEN = {
             '62b6dac53a5ec0e73885fd7ebd31a5797890d590848eccb6944020e0e52ab687',
         'stationary_report.json':
             '49ba53d251d971c31ac211302c002acb3fb68c7a6f5a8b4d065e5ac3e9e58186',
+    },
+    'stationary-complex': {
+        'stationary_field.csv':
+            '12da3b41b83dca9400955816113ec461b608ba7a97d3d8bdf39de22d5c43b90c',
+        'stationary_field.json':
+            'f9929580e035cccc0a9deb4cb16b061d2aaca6bbf174390bf716ab9e1cbd8301',
+        'stationary_report.json':
+            '3075f8b4c7c14b5ed03ebd1f29a74259dc496833e9fdd75bf0006fc743ec441a',
     },
     'tdse': {
         'tdse_final.csv':

@@ -3,7 +3,9 @@
 Every run is reproducible: fixed %.17g formatting, no timestamps, and a
 plain key=value config file (# comments) whose entries are overridden by
 explicit flags.  Exit codes: 0 success, 1 solver error, 2 divergence
-detected, 3 bad arguments.
+detected or max_terms reached with terms not shrinking, 3 bad arguments.
+Real input data (an imaginary part of exactly 0) is passed on as real
+arrays, so those series run in real arithmetic.
 """
 
 import argparse
@@ -15,14 +17,15 @@ import sys
 
 import numpy as np
 
-from .engine import SeriesBlowUpError, StopPolicy, convergence_report, run_cod, run_cod_with_source
+from .engine import (DIVERGENCE_DETECTED, MAX_TERMS, SeriesBlowUpError, StopPolicy,
+                     convergence_report, run_cod, run_cod_with_source)
 from .exp_potential import ExpPotentialProblem, general_solution
 from .expressions import ExpressionError, parse_expression
 from .grids import Grid, GridFunction, read_csv, second_diff, write_csv, write_rows
 from .oracles import rk4_oscillator
 from .oscillator import OscillatorProblem, build_scheme, power_series_solution, term_bound, upper_estimate
 from .stationary import build_scheme as build_stationary_scheme, write_field_csv
-from .tdse import PropagatorStep, TdseSetup, normalize, propagate
+from .tdse import NonFiniteDataError, PropagatorStep, TdseSetup, normalize, propagate
 from .verification import run_all
 from .wave import WaveProblem, build_wave_scheme, write_field_csv as write_wave_csv
 
@@ -102,16 +105,24 @@ def _effective(ns, defaults: dict) -> dict:
     return params
 
 
+def _real_if_exact(values) -> np.ndarray:
+    """``values`` as a real array when every imaginary part is exactly 0."""
+    values = np.asarray(values)
+    if np.iscomplexobj(values) and not values.imag.any():
+        return values.real
+    return values
+
+
 def _read_profile(path) -> GridFunction:
-    """A sampled ``--from-csv`` profile; unreadable, non-uniform or non-finite
-    files are usage errors."""
+    """A sampled ``--from-csv`` profile, real when its imaginary column is all
+    0; unreadable, non-uniform or non-finite files are usage errors."""
     try:
         profile = read_csv(path)
     except (OSError, ValueError) as exc:
         raise UsageError(f"cannot read profile {path}: {exc}")
     if not np.isfinite(profile.values).all():
         raise UsageError(f"cannot read profile {path}: non-finite sample")
-    return profile
+    return profile.with_values(_real_if_exact(profile.values))
 
 
 def _out_path(params, name):
@@ -126,8 +137,20 @@ def _write_report(path, report: dict):
         fh.write("\n")
 
 
-def _exit_code(stop_reason: str) -> int:
-    return 2 if stop_reason == "divergence_detected" else 0
+def _exit_code(run, policy: StopPolicy) -> int:
+    """2 for a run that stopped on divergence, or on max_terms with its last
+    term norm not below the one ``divergence_window`` terms earlier (or the
+    seed's, for a shorter run); 0 otherwise."""
+    if run.stop_reason == DIVERGENCE_DETECTED:
+        return 2
+    norms = run.term_sup_norms
+    back = min(policy.divergence_window, len(norms) - 1)
+    if run.stop_reason == MAX_TERMS and not norms[-1] < norms[-1 - back]:
+        print(f"warning: no convergence in {run.terms_used} terms: the last term norm "
+              f"{norms[-1]:.3g} is not below {norms[-1 - back]:.3g}, {back} terms earlier",
+              file=sys.stderr)
+        return 2
+    return 0
 
 
 # ---------------------------------------------------------------- oscillator
@@ -169,7 +192,8 @@ def _cmd_oscillator(ns) -> int:
     except ValueError as exc:
         raise UsageError(str(exc))
     scheme = build_scheme(problem)
-    run = run_cod(scheme, StopPolicy(tol=tol, max_terms=max_terms))
+    policy = StopPolicy(tol=tol, max_terms=max_terms)
+    run = run_cod(scheme, policy)
 
     oracle = rk4_oscillator(omega_fn, a, b, t_a, grid) if t_a == t_b else None
     f = run.partial_sum.values
@@ -193,7 +217,7 @@ def _cmd_oscillator(ns) -> int:
         report["oracle_sup_error"] = float(np.max(np.abs(run.partial_sum.values
                                                          - oracle.solution.values)))
     _write_report(_out_path(params, "oscillator_report.json"), report)
-    return _exit_code(run.stop_reason)
+    return _exit_code(run, policy)
 
 
 # -------------------------------------------------------------- power series
@@ -299,15 +323,15 @@ def _cmd_stationary(ns) -> int:
         u_values = expr(**dict(zip("xy", points)))
 
     shape = (size,) * dims
-    potential = GridFunction(axes, np.broadcast_to(np.asarray(u_values, dtype=complex), shape))
+    potential = GridFunction(axes, np.broadcast_to(u_values, shape))
     default_const = "1" if variant == "laplace" else "0"
     const = _as_complex({"psi_g_const": params["psi_g_const"] or default_const}, "psi_g_const")
-    psi_g = GridFunction(axes, np.full(shape, const, dtype=complex))
+    psi_g = GridFunction(axes, np.full(shape, _real_if_exact(const)))
 
     scheme = build_stationary_scheme(potential, energy, psi_g, variant)
     policy = StopPolicy(tol=tol, max_terms=max_terms)
     if source_kind == "delta":
-        source_values = np.zeros(shape, dtype=complex)
+        source_values = np.zeros(shape)
         source_values[(0,) * dims] = 1.0
         source = GridFunction(axes, source_values)
         run = run_cod_with_source(scheme, source, policy)
@@ -321,7 +345,7 @@ def _cmd_stationary(ns) -> int:
     write_field_csv(run.partial_sum, _out_path(params, "stationary_field.csv"),
                     _out_path(params, "stationary_field.json"), (box,) * dims)
     _write_report(_out_path(params, "stationary_report.json"), report)
-    return _exit_code(run.stop_reason)
+    return _exit_code(run, policy)
 
 
 # ---------------------------------------------------------------------- tdse
@@ -366,7 +390,10 @@ def _cmd_tdse(ns) -> int:
         raise UsageError(str(exc))
     step = PropagatorStep(dt=dt, n_terms=terms, quadrature_nodes=nodes)
 
-    final, report = propagate(setup, step, t_final)
+    try:
+        final, report = propagate(setup, step, t_final)
+    except NonFiniteDataError as exc:
+        raise UsageError(str(exc))
     for warning in report.warnings:
         print(f"warning: {warning}", file=sys.stderr)
     with open(_out_path(params, "tdse_steps.jsonl"), "w", encoding="ascii") as fh:
@@ -406,15 +433,10 @@ def _cmd_wave(ns) -> int:
                              f"start 0, step {x_grid.step:.17g}, {x_size} rows")
         eps_values = sampled.values
     else:
-        eps_values = np.broadcast_to(
-            np.asarray(parse_expression(str(params["epsilon"]), ("x",))(x=x), dtype=complex),
-            (x_size,))
-    s_values = np.broadcast_to(
-        np.asarray(parse_expression(str(params["s_init"]), ("x",))(x=x), dtype=complex),
-        (x_size,))
-    r_values = np.broadcast_to(
-        np.asarray(parse_expression(str(params["r_init"]), ("x",))(x=x), dtype=complex),
-        (x_size,))
+        eps_values = np.broadcast_to(parse_expression(str(params["epsilon"]), ("x",))(x=x),
+                                     (x_size,))
+    s_values = np.broadcast_to(parse_expression(str(params["s_init"]), ("x",))(x=x), (x_size,))
+    r_values = np.broadcast_to(parse_expression(str(params["r_init"]), ("x",))(x=x), (x_size,))
     try:
         problem = WaveProblem(GridFunction(x_grid, eps_values),
                               GridFunction(x_grid, s_values),
@@ -422,9 +444,10 @@ def _cmd_wave(ns) -> int:
         scheme = build_wave_scheme(problem, x_grid, t_grid)
     except ValueError as exc:
         raise UsageError(str(exc))
-    run = run_cod(scheme, StopPolicy(tol=tol, max_terms=max_terms))
+    policy = StopPolicy(tol=tol, max_terms=max_terms)
+    run = run_cod(scheme, policy)
     field = run.partial_sum
-    if run.stop_reason == "divergence_detected":
+    if run.stop_reason == DIVERGENCE_DETECTED:
         print("warning: series divergence detected; shorten the time window "
               "(growth scales with max(1/eps) * k_max^2 * t^2)", file=sys.stderr)
 
@@ -438,7 +461,7 @@ def _cmd_wave(ns) -> int:
         except ValueError as exc:
             raise UsageError(str(exc))
         write_csv(GridFunction(x_grid, row), _out_path(params, "wave_snapshot.csv"))
-    return _exit_code(run.stop_reason)
+    return _exit_code(run, policy)
 
 
 # -------------------------------------------------------------------- verify

@@ -12,8 +12,10 @@ across a window, and non-finite terms abort loudly.
 
 Every value the engine handles is a :class:`~codseries.grids.GridFunction`
 (1D grid functions, periodic boxes and space-time fields alike).  Terms
-are added to the partial sum in place, and a term is non-finite exactly
-when its sup norm is, since ``max|.|`` propagates nan and inf.
+are added to the partial sum in place; a real partial sum is promoted to
+complex once, at the first complex term, so a series on real data stays
+real.  A term is non-finite exactly when its sup norm is, since ``max|.|``
+propagates nan and inf.
 """
 
 import math
@@ -152,6 +154,8 @@ def _iterate(scheme: CodScheme, seed, policy: StopPolicy) -> SeriesRun:
                 break
             term = cand
             continue
+        if np.iscomplexobj(cand.values) and not np.iscomplexobj(total.values):
+            total = total.with_values(total.values.astype(complex))
         total.values += cand.values
         norms_hist.append(cn)
         used += 1

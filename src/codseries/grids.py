@@ -4,8 +4,13 @@ Every solver stores its samples in one container, :class:`GridFunction`,
 over one uniform :class:`Grid` per axis.  Everything downstream (series
 engines, spectral inverses, residual checks) is built from the handful of
 operations here: cumulative trapezoid integration with a selectable lower
-limit, second-order finite differences, wavenumbers of periodic grids, and
-the %.17g CSV writer.
+limit, second-order finite differences, wavenumbers of periodic grids, one
+spectral multiplier, and the %.17g CSV writer.
+
+Real samples stay real: a :class:`GridFunction` keeps float64 input as
+float64, :func:`spectral_apply` takes real input through the real-input
+FFT, and :func:`write_csv` writes the imaginary part of a real function
+as ``0``.
 """
 
 import math
@@ -21,6 +26,7 @@ __all__ = [
     "first_diff",
     "read_csv",
     "second_diff",
+    "spectral_apply",
     "wavenumbers",
     "write_csv",
     "write_rows",
@@ -80,12 +86,13 @@ class Grid:
 
 @dataclass
 class GridFunction:
-    """Complex-valued samples on a uniform grid, one :class:`Grid` per axis.
+    """Samples on a uniform grid, one :class:`Grid` per axis.
 
     ``grid`` is a single Grid for a 1D function, or a tuple of Grids whose
     counts give the shape of ``values`` (a 1-tuple is stored as the bare
     Grid).  Periodic axes use :meth:`Grid.periodic`; the space-time wave
-    field is indexed (t, x).
+    field is indexed (t, x).  Complex input is stored as complex128 and
+    any other input as float64, so a run on real data stays real.
     """
 
     grid: Grid | tuple
@@ -94,7 +101,8 @@ class GridFunction:
     def __post_init__(self):
         if isinstance(self.grid, tuple) and len(self.grid) == 1:
             self.grid = self.grid[0]
-        values = np.ascontiguousarray(self.values, dtype=complex)
+        dtype = complex if np.iscomplexobj(self.values) else float
+        values = np.ascontiguousarray(self.values, dtype=dtype)
         shape = tuple(g.count for g in self.axes)
         if values.shape != shape:
             raise ValueError(f"values shape {values.shape} does not match grid shape {shape}")
@@ -191,9 +199,31 @@ def wavenumbers(grid: Grid) -> np.ndarray:
     return 2.0 * np.pi * np.fft.fftfreq(grid.count, d=grid.step)
 
 
-def write_rows(fh, table):
+def spectral_apply(values, multiplier, axes, op=np.multiply) -> np.ndarray:
+    """Transform ``values`` over ``axes``, apply ``op(spectrum, multiplier)``
+    per mode and transform back.
+
+    ``multiplier`` is given in the fft ordering of the full spectrum and
+    broadcasts against it.  Real values go through ``rfftn``/``irfftn``
+    and come back real: the multiplier must then be real and even in k
+    (m(k) == m(-k), as every function of k^2 is), so that its leading
+    n//2 + 1 entries along the last transformed axis are the half spectrum.
+    Complex values go through ``fftn``/``ifftn``.
+    """
+    axes = tuple(axes)
+    if np.iscomplexobj(values):
+        return np.fft.ifftn(op(np.fft.fftn(values, axes=axes), multiplier), axes=axes)
+    lengths = [values.shape[a] for a in axes]
+    half = [slice(None)] * multiplier.ndim
+    half[axes[-1] - values.ndim] = slice(0, lengths[-1] // 2 + 1)
+    spectrum = np.fft.rfftn(values, axes=axes)
+    return np.fft.irfftn(op(spectrum, multiplier[tuple(half)]), s=lengths, axes=axes)
+
+
+def write_rows(fh, table, cell=FLOAT_FMT):
     """Write each row of the 2D real ``table`` as one line of comma-separated
-    %.17g values, the same text as ``f"{v:.17g}"`` gives per value.
+    cells, each value formatted with ``cell`` (by default %.17g, the same
+    text as ``f"{v:.17g}"`` gives per value).
 
     Rows are formatted a bounded block at a time, so memory stays flat
     whatever the table size.
@@ -201,7 +231,7 @@ def write_rows(fh, table):
     table = np.asarray(table, dtype=float)
     rows, width = table.shape
     block_rows = max(1, _WRITE_BLOCK_VALUES // width)
-    line = ",".join([FLOAT_FMT] * width) + "\n"
+    line = ",".join([cell] * width) + "\n"
     for lo in range(0, rows, block_rows):
         block = table[lo:lo + block_rows]
         fh.write((line * len(block)) % tuple(block.ravel().tolist()))
@@ -212,14 +242,17 @@ def write_csv(f: GridFunction, path):
 
     1D functions: one ``x,re,im`` header line, then one row per point.
     2D functions: no header, one line of row-major re,im pairs per row.
+    A real function's imaginary parts are written as ``0``.
     """
     with open(path, "w", encoding="ascii") as fh:
         if f.values.ndim == 1:
             fh.write("x,re,im\n")
             write_rows(fh, np.column_stack((f.grid.points(), f.values.real, f.values.imag)))
-        else:
+        elif np.iscomplexobj(f.values):
             # a contiguous complex row viewed as floats is its re,im pairs
             write_rows(fh, f.values.view(float))
+        else:
+            write_rows(fh, f.values, cell=FLOAT_FMT + ",0")
 
 
 def read_csv(path) -> GridFunction:

@@ -15,6 +15,11 @@ series engine:
 On a periodic grid the only generating functions for the ``laplace``
 variant are constants; the practical entry point for the ``resolvent``
 variant is the source-driven run with a zero generating function.
+
+Both variants keep real data real: with a real potential, generating
+function and source, every term comes from real-input FFTs and the
+written imaginary parts are exactly 0.  Complex data runs in complex
+arithmetic.
 """
 
 import json
@@ -22,7 +27,7 @@ import json
 import numpy as np
 
 from .engine import CodScheme, SeriesRun, StopPolicy, run_cod, run_cod_with_source
-from .grids import GridFunction, wavenumbers, write_csv
+from .grids import GridFunction, spectral_apply, wavenumbers, write_csv
 
 __all__ = [
     "build_scheme",
@@ -34,18 +39,34 @@ __all__ = [
 ]
 
 
-def _ksq(field: GridFunction) -> np.ndarray:
-    k = [wavenumbers(axis) for axis in field.axes]
+def _ksq(axes) -> np.ndarray:
+    k = [wavenumbers(axis) for axis in axes]
     if len(k) == 1:
         return k[0] ** 2
-    kx, ky = np.meshgrid(k[0], k[1], indexing="ij")
-    return kx ** 2 + ky ** 2
+    return k[0][:, None] ** 2 + k[1][None, :] ** 2
+
+
+def _pseudo_inverse_denominator(ksq: np.ndarray) -> np.ndarray:
+    """-k^2 with the zero mode set to inf, so dividing by it maps that mode to 0."""
+    denom = -ksq
+    denom[ksq == 0] = np.inf
+    return denom
+
+
+def _resolvent_denominator(ksq: np.ndarray, energy: float) -> np.ndarray:
+    denom = 2.0 * energy - ksq
+    if np.any(denom == 0):
+        raise ValueError("on-shell mode")
+    return denom
+
+
+def _apply(f: GridFunction, multiplier, op=np.multiply) -> GridFunction:
+    return f.with_values(spectral_apply(f.values, multiplier, range(f.values.ndim), op))
 
 
 def laplacian(f: GridFunction) -> GridFunction:
     """Mode-wise Laplacian (multiply by -k^2)."""
-    spectrum = np.fft.fftn(f.values)
-    return f.with_values(np.fft.ifftn(-_ksq(f) * spectrum))
+    return _apply(f, -_ksq(f.axes))
 
 
 def inverse_laplacian(f: GridFunction) -> GridFunction:
@@ -54,12 +75,7 @@ def inverse_laplacian(f: GridFunction) -> GridFunction:
     The output is always mean-free, so laplacian(inverse_laplacian(f))
     reproduces f minus its mean.
     """
-    spectrum = np.fft.fftn(f.values)
-    ksq = _ksq(f)
-    out = np.zeros_like(spectrum)
-    nonzero = ksq != 0
-    out[nonzero] = -spectrum[nonzero] / ksq[nonzero]
-    return f.with_values(np.fft.ifftn(out))
+    return _apply(f, _pseudo_inverse_denominator(_ksq(f.axes)), np.divide)
 
 
 def resolvent(f: GridFunction, energy: float) -> GridFunction:
@@ -68,11 +84,7 @@ def resolvent(f: GridFunction, energy: float) -> GridFunction:
     Raises when some grid mode satisfies 2E = k^2 exactly; for E < 0 every
     denominator is negative and the inverse is unconditionally defined.
     """
-    ksq = _ksq(f)
-    denom = 2.0 * energy - ksq
-    if np.any(denom == 0):
-        raise ValueError("on-shell mode")
-    return f.with_values(np.fft.ifftn(np.fft.fftn(f.values) / denom))
+    return _apply(f, _resolvent_denominator(_ksq(f.axes), energy), np.divide)
 
 
 def build_scheme(potential: GridFunction, energy: float, psi_g: GridFunction,
@@ -81,7 +93,9 @@ def build_scheme(potential: GridFunction, energy: float, psi_g: GridFunction,
 
     The fields live on one periodic box (axes from :meth:`Grid.periodic`),
     1D or 2D.  Sizes must be even and at least 4 so the wavenumber range is
-    symmetric; 2D boxes must be square (same grid on both axes).
+    symmetric; 2D boxes must be square (same grid on both axes).  The
+    mode-wise factors (-k^2 and the variant's denominator) are built once
+    here; the resolvent variant raises on an on-shell mode.
     """
     if potential.grid != psi_g.grid:
         raise ValueError("potential and generating field live on different boxes")
@@ -96,29 +110,34 @@ def build_scheme(potential: GridFunction, energy: float, psi_g: GridFunction,
     u = potential.values
     if gen_tol is None:
         gen_tol = 1e-9 * (1.0 + psi_g.sup_norm())
+    ksq = _ksq(axes)
+    minus_ksq = -ksq
+    defect_factor = 2.0 * (energy - u)
+
+    def lap(f: GridFunction) -> GridFunction:
+        return _apply(f, minus_ksq)
 
     def defect_op(f: GridFunction) -> GridFunction:
-        lap = laplacian(f)
-        return f.with_values(lap.values + 2.0 * (energy - u) * f.values)
+        return f.with_values(lap(f).values + defect_factor * f.values)
 
     if variant == "laplace":
-        def cycle(f: GridFunction) -> GridFunction:
-            return inverse_laplacian(f.with_values((2.0 * u - 2.0 * energy) * f.values))
-
-        g_op = laplacian
-        g_inverse = inverse_laplacian
+        denom = _pseudo_inverse_denominator(ksq)
+        cycle_factor = 2.0 * u - 2.0 * energy
+        g_op = lap
     elif variant == "resolvent":
-        def cycle(f: GridFunction) -> GridFunction:
-            return resolvent(f.with_values(2.0 * u * f.values), energy)
+        denom = _resolvent_denominator(ksq, energy)
+        cycle_factor = 2.0 * u
 
         def g_op(f: GridFunction) -> GridFunction:
-            lap = laplacian(f)
-            return f.with_values(2.0 * energy * f.values + lap.values)
-
-        def g_inverse(f: GridFunction) -> GridFunction:
-            return resolvent(f, energy)
+            return f.with_values(2.0 * energy * f.values + lap(f).values)
     else:
         raise ValueError(f"unknown variant {variant!r}; use 'laplace' or 'resolvent'")
+
+    def g_inverse(f: GridFunction) -> GridFunction:
+        return _apply(f, denom, np.divide)
+
+    def cycle(f: GridFunction) -> GridFunction:
+        return g_inverse(f.with_values(cycle_factor * f.values))
 
     return CodScheme(
         cycle_map=cycle,

@@ -35,6 +35,7 @@ import numpy.polynomial.chebyshev as ncheb
 from .grids import Grid, GridFunction, wavenumbers
 
 __all__ = [
+    "NonFiniteDataError",
     "PropagationReport",
     "PropagatorStep",
     "TdseSetup",
@@ -43,6 +44,10 @@ __all__ = [
     "normalize",
     "propagate",
 ]
+
+
+class NonFiniteDataError(ValueError):
+    """U or A is not finite at a time where the propagator samples it."""
 
 
 def normalize(psi: GridFunction) -> GridFunction:
@@ -64,7 +69,9 @@ class TdseSetup:
     evaluated at every sub-node of every step.  Array and number data are
     sampled once: with both, :func:`cod_step` takes the Taylor path, and a
     mixed setup reuses them at every sub-node.  The initial state must be
-    L2-normalized to 1 within 1e-12, and U and A finite at t = 0.  ``x``
+    L2-normalized to 1 within 1e-12, and U and A finite at t = 0; a
+    callable that is not finite at a later sub-node raises
+    :class:`NonFiniteDataError` from that step.  ``x``
     and ``k`` hold the grid points and wavenumbers; ``kinetic`` holds
     0.5*(k - A)^2 for a number A and is None for a callable one;
     ``spectral_radius`` is the crude bound max_k 0.5*(|k|+|A|)^2 + max|U|
@@ -101,10 +108,6 @@ class TdseSetup:
         self.x = self.grid.points()
         self.k = wavenumbers(self.grid)
         u0, a0 = _node_samples(self, np.array([0.0]))
-        if not np.isfinite(u0).all():
-            raise ValueError("potential must be finite on the grid at t = 0")
-        if not np.isfinite(a0).all():
-            raise ValueError(f"vector potential must be finite at t = 0, got {a0[0]}")
         k_max = float(np.max(np.abs(self.k)))
         self.spectral_radius = (0.5 * (k_max + abs(float(a0[0]))) ** 2
                                 + float(np.max(np.abs(u0))))
@@ -170,17 +173,30 @@ def _node_samples(setup: TdseSetup, times: np.ndarray):
 
     Array and number data give one row of each instead, with no call and
     no copy; it broadcasts against the m rows of every stack it meets.
+    Non-finite samples raise :class:`NonFiniteDataError` naming the first
+    time they occur at; the callables run with numpy's floating-point
+    warnings silenced, since that error reports the fault.
     """
-    if callable(setup.potential):
-        n = setup.x.size
-        u = np.stack([np.broadcast_to(np.asarray(setup.potential(setup.x, t)), (n,))
-                      for t in times])
-    else:
-        u = setup.potential[None, :]
-    if callable(setup.vector_potential):
-        a = np.array([setup.vector_potential(t) for t in times])
-    else:
-        a = np.array([setup.vector_potential])
+    with np.errstate(all="ignore"):
+        if callable(setup.potential):
+            n = setup.x.size
+            u = np.stack([np.broadcast_to(np.asarray(setup.potential(setup.x, t)), (n,))
+                          for t in times])
+        else:
+            u = setup.potential[None, :]
+        if callable(setup.vector_potential):
+            a = np.array([setup.vector_potential(t) for t in times])
+        else:
+            a = np.array([setup.vector_potential])
+    bad_u = ~np.isfinite(u).all(axis=1)
+    if bad_u.any():
+        raise NonFiniteDataError(
+            f"potential must be finite on the grid at t = {times[bad_u.argmax()]:g}")
+    bad_a = ~np.isfinite(a)
+    if bad_a.any():
+        i = bad_a.argmax()
+        raise NonFiniteDataError(f"vector potential must be finite at t = {times[i]:g}, "
+                                 f"got {a[i]}")
     return u, a
 
 

@@ -206,6 +206,54 @@ class TestStationaryCommand:
                     "--max-terms", "60", "--out-dir", str(tmp_path)])
         assert code == 2
 
+    def test_unconverged_max_terms_run_exits_2(self, tmp_path, capsys):
+        # terms grow about 1.34x per term, below the divergence test's 10x
+        # over 5 terms; this run once exited 0 with a defect of 1.5e23
+        code = run(["stationary", "--dims", "2", "--size", "64", "--variant", "resolvent",
+                    "--source", "delta", "--energy", "-0.5",
+                    "--potential", "0.8*(cos(x)+cos(y))", "--out-dir", str(tmp_path)])
+        assert code == 2
+        assert "no convergence in 200 terms" in capsys.readouterr().err
+        report = json.loads((tmp_path / "stationary_report.json").read_text())
+        assert report["stop_reason"] == "max_terms"
+        assert report["terms_used"] == 200
+
+    def test_max_terms_run_with_shrinking_terms_exits_0(self, tmp_path, capsys):
+        code = run(["stationary", "--potential", "0.1*cos(x)", "--variant", "resolvent",
+                    "--source", "delta", "--max-terms", "3", "--out-dir", str(tmp_path)])
+        assert code == 0
+        assert capsys.readouterr().err == ""
+        report = json.loads((tmp_path / "stationary_report.json").read_text())
+        assert report["stop_reason"] == "max_terms"
+
+    def test_real_data_writes_exact_zero_imaginary_parts(self, tmp_path):
+        assert run(["stationary", "--dims", "2", "--size", "8", "--variant", "resolvent",
+                    "--source", "delta", "--potential", "0.1*cos(x)*sin(y)",
+                    "--out-dir", str(tmp_path)]) == 0
+        rows = (tmp_path / "stationary_field.csv").read_text().split()
+        assert all(value == "0" for row in rows for value in row.split(",")[1::2])
+
+    def test_complex_generating_constant_runs_complex(self, tmp_path):
+        assert run(["stationary", "--size", "8", "--energy", "-0.1", "--psi-g-const", "1+0.5j",
+                    "--potential", "0.1*cos(x)", "--out-dir", str(tmp_path)]) == 0
+        rows = (tmp_path / "stationary_field.csv").read_text().split()[1:]
+        assert all(float(row.split(",")[2]) != 0.0 for row in rows)
+
+    @pytest.mark.parametrize("imaginary, dtype", [(0.0, np.float64), (0.25, np.complex128)])
+    def test_from_csv_profile_is_real_when_its_imaginary_column_is_zero(
+            self, tmp_path, monkeypatch, imaginary, dtype):
+        grid = Grid.periodic(0.0, 2.0 * np.pi, 8)
+        write_csv(GridFunction(grid, 0.1 * np.cos(grid.points()) + 1j * imaginary),
+                  tmp_path / "u.csv")
+        seen = []
+        build = cli.build_stationary_scheme
+        monkeypatch.setattr(cli, "build_stationary_scheme",
+                            lambda potential, *rest: seen.append(potential.values.dtype)
+                            or build(potential, *rest))
+        assert run(["stationary", "--from-csv", str(tmp_path / "u.csv"), "--energy", "-0.1",
+                    "--out-dir", str(tmp_path / "out")]) == 0
+        assert seen == [dtype]
+
     def test_2d_run(self, tmp_path):
         code = run(["stationary", "--dims", "2", "--size", "16",
                     "--potential", "0.01*(cos(x)+cos(y))", "--energy", "0",
@@ -236,7 +284,8 @@ class TestStationaryCommand:
     def test_from_csv_starting_at_zero_runs(self, tmp_path):
         grid = Grid.periodic(0.0, 2.0 * np.pi, 16)
         write_csv(GridFunction(grid, 0.1 * np.cos(grid.points())), tmp_path / "u.csv")
-        assert run(["stationary", "--from-csv", str(tmp_path / "u.csv"),
+        # at the default E = -0.5 this laplace series does not converge (exit 2)
+        assert run(["stationary", "--from-csv", str(tmp_path / "u.csv"), "--energy", "-0.1",
                     "--out-dir", str(tmp_path)]) == 0
         first = (tmp_path / "stationary_field.csv").read_text().splitlines()[1]
         assert float(first.split(",")[0]) == 0.0
@@ -301,6 +350,18 @@ class TestTdseCommand:
         code = run(["tdse", "--size", "16", flag, value, "--out-dir", str(tmp_path / "out")])
         assert code == 3
         assert "finite" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_non_finite_later_profile_exits_3_naming_t(self, tmp_path, capsys):
+        # finite at t = 0 and infinite at t = 0.05: once a solver error (exit
+        # 1) after numpy RuntimeWarnings
+        code = run(["tdse", "--size", "16", "--vector-potential", "0*(1/(t-0.05))",
+                    "--dt", "0.01", "--t-final", "0.1", "--out-dir", str(tmp_path / "out")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "vector potential must be finite at t = 0.05" in err
+        assert "Warning" not in err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.filterwarnings("ignore:divide by zero")

@@ -130,10 +130,35 @@ class TestStopping:
                 values[4] = bad
             return f.with_values(values)
 
-        scheme = CodScheme(cycle_map=cycle, generating=GridFunction(grid, np.ones(8)),
+        # a complex entry needs a complex series: a real array cannot hold it
+        seed = np.ones(8, dtype=complex if np.iscomplexobj(bad) else float)
+        scheme = CodScheme(cycle_map=cycle, generating=GridFunction(grid, seed),
                            defect_op=lambda f: f)
         with pytest.raises(SeriesBlowUpError, match="series blow-up at term 3"):
             run_cod(scheme, StopPolicy(tol=1e-10, max_terms=10))
+
+    def test_complex_term_promotes_a_real_partial_sum(self):
+        grid = Grid.from_interval(0.0, 1.0, 8)
+        calls = []
+
+        def cycle(f):
+            calls.append(f.values.dtype)
+            factor = 0.5j if len(calls) == 2 else 0.5
+            return f.with_values(factor * f.values)
+
+        scheme = CodScheme(cycle_map=cycle, generating=GridFunction(grid, np.ones(8)),
+                           defect_op=lambda f: f)
+        run = run_cod(scheme, StopPolicy(tol=1e-10, max_terms=3))
+        assert calls == [np.float64, np.float64, np.complex128]
+        assert run.partial_sum.values.dtype == np.complex128
+        assert np.array_equal(run.partial_sum.values, np.full(8, 1.5 + 0.375j))
+        assert scheme.generating.values.dtype == np.float64
+
+    def test_real_series_keeps_a_real_partial_sum(self):
+        run = run_cod(identity_scheme(Grid.from_interval(0.0, 1.0, 8), 0.5),
+                      StopPolicy(tol=1e-10, max_terms=3))
+        assert run.partial_sum.values.dtype == np.float64
+        assert np.array_equal(run.partial_sum.values, np.full(8, 1.875))
 
     def test_max_terms_reported(self):
         grid = Grid.from_interval(0.0, 1.0, 8)

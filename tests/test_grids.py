@@ -63,7 +63,11 @@ class TestGridFunction:
         t_grid, x_grid = Grid(0.0, 0.1, 3), Grid.periodic(0.0, 1.0, 4)
         f = GridFunction((t_grid, x_grid), np.zeros((3, 4)))
         assert f.axes == (t_grid, x_grid)
-        assert f.values.dtype == complex
+        assert f.values.dtype == np.float64
+        assert GridFunction((t_grid, x_grid), np.zeros((3, 4), dtype=int)).values.dtype \
+            == np.float64
+        assert GridFunction((t_grid, x_grid), np.zeros((3, 4), dtype=complex)).values.dtype \
+            == np.complex128
         with pytest.raises(ValueError, match="does not match"):
             GridFunction((t_grid, x_grid), np.zeros((4, 3)))
         with pytest.raises(ValueError, match="does not match"):

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from codseries.grids import Grid, GridFunction
 from codseries.oracles import _dense_hamiltonian, crank_nicolson
 from codseries.tdse import (
+    NonFiniteDataError,
     PropagatorStep,
     TdseSetup,
     cod_step,
@@ -95,6 +96,21 @@ class TestSetupValidation:
         psi = normalize(GridFunction(grid, np.ones(16)))
         with pytest.raises(ValueError, match=match):
             TdseSetup(grid, potential, vector_potential, psi)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("potential, vector_potential, match", [
+        (lambda xv, t: 0.0 * np.cos(xv) / (t - 0.05), ZERO_FIELD,
+         "potential must be finite on the grid at t = 0.05"),
+        (ZERO_POTENTIAL, lambda t: 0.0 * (np.float64(1.0) / (t - 0.05)),
+         "vector potential must be finite at t = 0.05"),
+    ], ids=["u", "a"])
+    def test_rejects_callables_non_finite_after_t0(self, potential, vector_potential, match):
+        # the pole at t = 0.05 is the last sub-node of the fifth step
+        grid = Grid.periodic(0.0, 2.0 * np.pi, 16)
+        setup = TdseSetup(grid, potential, vector_potential,
+                          normalize(GridFunction(grid, np.ones(16))))
+        with pytest.raises(NonFiniteDataError, match=match):
+            propagate(setup, PropagatorStep(dt=0.01, n_terms=4), 0.1)
 
     def test_spectral_radius_is_the_t0_bound(self):
         grid = Grid.periodic(0.0, 2.0 * np.pi, 16)

@@ -1,9 +1,10 @@
 """Series solvers built on cyclic decompositions of linear operators.
 
-The library splits a linear operator into an invertible part and a
-remainder, seeds a series with a generating function annihilated by the
-invertible part, and accumulates corrections by repeatedly applying the
-cycle map (the inverse composed with the remainder).  Solvers are wired
+The library splits a linear operator into an invertible part G and a
+remainder V, seeds a series with a generating function annihilated by G,
+and accumulates corrections by repeatedly applying the cycle map G^-1 V.
+A scheme is the generating function and the actions of G, G^-1 and V;
+the engine derives the cycle map and the defect G - V.  Solvers are wired
 for the variable-frequency oscillator, the exponential-potential and
 periodic stationary problems, a time-dependent short-step propagator, and
 the dispersive wave equation; each ships with an independent numerical
@@ -22,7 +23,6 @@ from .engine import (
     defect,
     run_cod,
     run_cod_with_source,
-    v_apply,
 )
 from .grids import Grid, GridFunction, cumulative_integral, wavenumbers
 from .oscillator import OscillatorProblem, PowerSeriesSolution
@@ -51,6 +51,5 @@ __all__ = [
     "defect",
     "run_cod",
     "run_cod_with_source",
-    "v_apply",
     "wavenumbers",
 ]

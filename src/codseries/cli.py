@@ -195,7 +195,8 @@ def _cmd_oscillator(ns) -> int:
     policy = StopPolicy(tol=tol, max_terms=max_terms)
     run = run_cod(scheme, policy)
 
-    oracle = rk4_oscillator(omega_fn, a, b, t_a, grid) if t_a == t_b else None
+    # the RK4 oracle is an initial-value solver: both conditions at the grid start
+    oracle = rk4_oscillator(omega_fn, a, b, t_a, grid) if t_a == t_b == grid.start else None
     f = run.partial_sum.values
     o = oracle.solution.values if oracle else np.full(grid.count, complex(np.nan, np.nan))
     with open(_out_path(params, "oscillator_solution.csv"), "w", encoding="ascii") as fh:

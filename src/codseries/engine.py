@@ -1,10 +1,11 @@
 """Series accumulation engine for cyclic operator decompositions.
 
-A scheme packages the operator actions needed to run and check one
-decomposition: the cycle map (inverse part composed with the remainder
-part), the generating function the series acts on, and the defect
-operator for residual checks.  ``run_cod`` accumulates partial sums with
-the term recurrence term[n+1] = cycle_map(term[n]) and stops per a
+A scheme is one split L = G - V of a linear operator, given as the
+generating function psi_g (annihilated by G) and the actions of G, its
+inverse and V.  The engine derives the two composites from them: the
+cycle map G^-1 V and the defect operator G - V.  ``run_cod`` accumulates
+partial sums of psi = [I + sum_n (G^-1 V)^n] psi_g with the term
+recurrence term[n+1] = cycle_map(term[n]) and stops per a
 ``StopPolicy``: convergence needs two consecutive terms below tolerance
 (a single small term can be accidental in an alternating series),
 divergence is flagged when term norms grow monotonically by a set factor
@@ -38,7 +39,6 @@ __all__ = [
     "defect",
     "run_cod",
     "run_cod_with_source",
-    "v_apply",
 ]
 
 Operator = Callable[[GridFunction], GridFunction]
@@ -84,32 +84,41 @@ class StopPolicy:
 
 @dataclass
 class CodScheme:
-    """One concrete decomposition: cycle map, generating function, checks.
+    """One decomposition L = G - V: generating function, G, G^-1 and V.
 
     Attributes:
-        cycle_map: action of the composed operator applied once per term.
-        generating: seed function; must be annihilated by the invertible
-            part of the decomposition (validated through ``g_op``).
-        defect_op: action of the full decomposed operator, for residuals.
-        g_op: action of the invertible part alone.  Optional; enables the
-            construction-time check on ``generating`` and ``v_apply``.
-        g_inverse: action of the inverse of the invertible part; required
-            for source-driven runs.
+        generating: seed function psi_g; must be annihilated by G
+            (checked through ``g_op`` when ``gen_tol`` is set).
+        g_op: action of the invertible part G.
+        g_inverse: action of G^-1; it also lifts a source into the seed of
+            a driven run.
+        v_op: action of the remainder part V.
         label: free-form tag carried into reports.
         gen_tol: sup-norm tolerance accepted for g_op(generating).
+        cycle_map: G^-1 V, applied once per term; derived, not passed.
+        defect_op: G - V, for residuals; derived, not passed.
     """
 
-    cycle_map: Operator
     generating: GridFunction
-    defect_op: Operator
-    g_op: Optional[Operator] = None
-    g_inverse: Optional[Operator] = None
+    g_op: Operator
+    g_inverse: Operator
+    v_op: Operator
     label: str = ""
     gen_tol: Optional[float] = None
+    cycle_map: Operator = field(init=False, repr=False, compare=False)
+    defect_op: Operator = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.g_op is not None and self.gen_tol is not None:
-            residual = _sup(self.g_op(self.generating))
+        g_op, g_inverse, v_op = self.g_op, self.g_inverse, self.v_op
+
+        def g_minus_v(f: GridFunction) -> GridFunction:
+            g = g_op(f)
+            return g.with_values(g.values - v_op(f).values)
+
+        self.cycle_map = lambda f: g_inverse(v_op(f))
+        self.defect_op = g_minus_v
+        if self.gen_tol is not None:
+            residual = _sup(g_op(self.generating))
             if residual > self.gen_tol:
                 raise ValueError(
                     "generating function is not annihilated by the invertible part: "
@@ -198,8 +207,6 @@ def run_cod_with_source(scheme: CodScheme, source, policy: StopPolicy) -> Series
     function this realizes the series form of the inverse operator applied
     to the source.
     """
-    if scheme.g_inverse is None:
-        raise ValueError("source-driven run requires the scheme to provide g_inverse")
     lifted = scheme.g_inverse(source)
     seed = scheme.generating.with_values(scheme.generating.values + lifted.values)
     return _iterate(scheme, seed, policy)
@@ -216,15 +223,6 @@ def defect(scheme: CodScheme, run: SeriesRun, source=None):
     if source is not None:
         d = d.with_values(d.values - source.values)
     return d
-
-
-def v_apply(scheme: CodScheme, value):
-    """Action of the remainder part, recovered as g_op - defect_op."""
-    if scheme.g_op is None:
-        raise ValueError("scheme has no g_op; cannot isolate the remainder part")
-    g = scheme.g_op(value)
-    d = scheme.defect_op(value)
-    return g.with_values(g.values - d.values)
 
 
 def convergence_report(scheme: CodScheme, run: SeriesRun, source=None) -> dict:

@@ -39,6 +39,9 @@ class OracleResult:
 
 # RK4 steps sampled per omega_sq call: amortizes the call, keeps arrays small
 _RK4_CHUNK_STEPS = 2048
+# Richardson target of the RK4 oracle and its cap on substep doublings
+_RK4_TARGET_ESTIMATE = 1e-9
+_RK4_MAX_REFINEMENTS = 12
 
 
 def _rk4_samples(omega_sq, grid: Grid, lo: int, hi: int, substeps: int, h: float):
@@ -87,13 +90,12 @@ def _rk4_run(omega_sq: Callable[[np.ndarray], Any], a: complex, b: complex,
 
 
 def rk4_oscillator(omega_sq: Callable[[np.ndarray], Any], a: complex, b: complex,
-                   t0: float, grid: Grid, target_estimate: float = 1e-9,
-                   max_refinements: int = 12) -> OracleResult:
+                   t0: float, grid: Grid) -> OracleResult:
     """RK4 reference for f'' + w2(t) f = 0, f(t0) = a, f'(t0) = b.
 
     Both conditions sit at t0 (standard initial-value form), which must be
     the grid start.  The substep count doubles until the Richardson
-    estimate drops below ``target_estimate``.
+    estimate drops below ``_RK4_TARGET_ESTIMATE``.
 
     ``omega_sq`` is called with arrays of times and returns w2, real or
     complex, at each of them; a scalar return is broadcast to every time.
@@ -103,12 +105,12 @@ def rk4_oscillator(omega_sq: Callable[[np.ndarray], Any], a: complex, b: complex
     substeps = 1
     prev = _rk4_run(omega_sq, a, b, grid, substeps)
     estimate = np.inf
-    for _ in range(max_refinements):
+    for _ in range(_RK4_MAX_REFINEMENTS):
         substeps *= 2
         cur = _rk4_run(omega_sq, a, b, grid, substeps)
         estimate = float(np.max(np.abs(cur - prev)) / 15.0)
         prev = cur
-        if estimate <= target_estimate:
+        if estimate <= _RK4_TARGET_ESTIMATE:
             break
     return OracleResult(GridFunction(grid, prev), "rk4", grid.step / substeps, estimate)
 
@@ -125,32 +127,25 @@ def _dense_hamiltonian(setup: TdseSetup, t: float) -> np.ndarray:
     return kinetic + np.diag(np.asarray(u, dtype=complex))
 
 
-def _cn_run(setup: TdseSetup, dt: float, n_steps: int, time_dependent: bool,
-            keep_history: bool, history_stride: int):
+def _cn_run(setup: TdseSetup, dt: float, n_steps: int, time_dependent: bool):
     n = setup.grid.count
     eye = np.eye(n)
     psi = setup.psi0.values.copy()
-    states = []
     if not time_dependent:
         h = _dense_hamiltonian(setup, 0.0)
         stepper = np.linalg.solve(eye + 0.5j * dt * h, eye - 0.5j * dt * h)
-        for i in range(n_steps):
+        for _ in range(n_steps):
             psi = stepper @ psi
-            if keep_history and (i + 1) % history_stride == 0:
-                states.append((dt * (i + 1), psi.copy()))
     else:
         for i in range(n_steps):
             h = _dense_hamiltonian(setup, (i + 0.5) * dt)
             rhs = (eye - 0.5j * dt * h) @ psi
             psi = np.linalg.solve(eye + 0.5j * dt * h, rhs)
-            if keep_history and (i + 1) % history_stride == 0:
-                states.append((dt * (i + 1), psi.copy()))
-    return psi, states
+    return psi
 
 
 def crank_nicolson(setup: TdseSetup, dt: float, t_final: float,
-                   time_dependent: bool = False, validate: bool = True,
-                   keep_history: bool = False, history_stride: int = 1) -> OracleResult:
+                   time_dependent: bool = False, validate: bool = True) -> OracleResult:
     """Unitary-to-round-off Crank-Nicolson reference on the periodic grid.
 
     ``time_dependent=False`` factors the step matrix once (midpoint
@@ -161,22 +156,16 @@ def crank_nicolson(setup: TdseSetup, dt: float, t_final: float,
     n_steps = round(ratio)
     if n_steps < 1 or abs(ratio - n_steps) > 1e-9 * max(1.0, abs(ratio)):
         raise ValueError("t_final must be a positive multiple of dt")
-    psi, states = _cn_run(setup, dt, n_steps, time_dependent, keep_history, history_stride)
+    psi = _cn_run(setup, dt, n_steps, time_dependent)
     estimate = float("nan")
     step_used = dt
     if validate:
-        psi_half, states = _cn_run(setup, 0.5 * dt, 2 * n_steps, time_dependent,
-                                   keep_history, 2 * history_stride)
+        psi_half = _cn_run(setup, 0.5 * dt, 2 * n_steps, time_dependent)
         estimate = float(np.max(np.abs(psi_half - psi)) / 3.0)
         psi = psi_half
         step_used = 0.5 * dt
-    diagnostics = {}
-    if keep_history:
-        diagnostics["states"] = [
-            (t, GridFunction(setup.grid, v)) for t, v in states
-        ]
     return OracleResult(GridFunction(setup.grid, psi), "crank-nicolson",
-                        step_used, estimate, diagnostics)
+                        step_used, estimate)
 
 
 def _spectral_upsample(values: np.ndarray, factor: int) -> np.ndarray:

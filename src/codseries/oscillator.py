@@ -3,8 +3,9 @@
 For f'' + w2(t) f = 0 with f(t_a) = a and f'(t_b) = b the invertible part
 is d^2/dt^2, inverted by two cumulative integrals (inner lower limit t_b,
 outer t_a), and the generating function a + b*(t - t_a) carries the Cauchy
-data.  Each series term follows from the previous one by one application
-of the cycle map f -> -II[w2 * f].
+data.  The scheme supplies G = d^2/dt^2, that inverse and V = -w2; each
+series term follows from the previous one by one application of the cycle
+map G^-1 V, f -> -II[w2 * f], which the engine derives.
 
 For w2(t) = -t**alpha (alpha > -1) the series collapses to an explicit
 monomial series in t**(alpha+2) with positive coefficients; that series,
@@ -57,23 +58,16 @@ def build_scheme(problem: OscillatorProblem, gen_tol: float | None = None,
                  label: str = "oscillator") -> CodScheme:
     """Wire an oscillator problem into a scheme for the series engine.
 
-    cycle_map(f) = -outer_integral(inner_integral(w2 * f, from t_b), from t_a)
-    defect_op(f) = f'' + w2 * f
+    G = d^2/dt^2, G^-1 = outer_integral(inner_integral(., from t_b), from t_a)
+    and V = -w2, so the engine's cycle map is f -> -II[w2 * f] and its
+    defect f'' + w2 * f.
     """
     grid = problem.omega_sq.grid
-    w2 = problem.omega_sq.values
+    minus_w2 = -problem.omega_sq.values
     t = grid.points()
     generating = GridFunction(grid, problem.a + problem.b * (t - problem.t_a))
     if gen_tol is None:
         gen_tol = 1e-8 * (1.0 + generating.sup_norm())
-
-    def cycle(f: GridFunction) -> GridFunction:
-        inner = cumulative_integral(f.with_values(w2 * f.values), problem.t_b)
-        outer = cumulative_integral(inner, problem.t_a)
-        return outer.with_values(-outer.values)
-
-    def defect_op(f: GridFunction) -> GridFunction:
-        return f.with_values(second_diff(f.values, grid.step) + w2 * f.values)
 
     def g_op(f: GridFunction) -> GridFunction:
         return f.with_values(second_diff(f.values, grid.step))
@@ -82,11 +76,10 @@ def build_scheme(problem: OscillatorProblem, gen_tol: float | None = None,
         return cumulative_integral(cumulative_integral(f, problem.t_b), problem.t_a)
 
     return CodScheme(
-        cycle_map=cycle,
         generating=generating,
-        defect_op=defect_op,
         g_op=g_op,
         g_inverse=g_inverse,
+        v_op=lambda f: f.with_values(minus_w2 * f.values),
         label=label,
         gen_tol=gen_tol,
     )

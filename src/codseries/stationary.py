@@ -1,16 +1,16 @@
 """Spectral decomposition runs for the stationary problem on periodic boxes.
 
 Fields live on periodic uniform grids in one or two dimensions.  Two
-decompositions of Laplacian(psi) + 2(E - U) psi = 0 are wired for the
-series engine:
+splits G - V of Laplacian(psi) + 2(E - U) psi = 0 are wired for the
+series engine, which derives the cycle map G^-1 V and the defect G - V:
 
-* ``laplace``: invertible part = Laplacian, inverted mode-wise as
-  -1/k^2 with the zero mode annihilated (pseudo-inverse; the inverse is
-  ill-defined on constants, so outputs are always mean-free and the
-  defect check must account for the mean component).
-* ``resolvent``: invertible part = 2E + Laplacian, inverted mode-wise as
-  1/(2E - k^2); well-defined whenever no grid mode sits on 2E = k^2,
-  which holds generically for E < 0.
+* ``laplace``: G = Laplacian, inverted mode-wise as -1/k^2 with the zero
+  mode annihilated (pseudo-inverse; the inverse is ill-defined on
+  constants, so outputs are always mean-free and the defect check must
+  account for the mean component); V = 2(U - E).
+* ``resolvent``: G = 2E + Laplacian, inverted mode-wise as 1/(2E - k^2);
+  well-defined whenever no grid mode sits on 2E = k^2, which holds
+  generically for E < 0; V = 2U.
 
 On a periodic grid the only generating functions for the ``laplace``
 variant are constants; the practical entry point for the ``resolvent``
@@ -26,15 +26,11 @@ import json
 
 import numpy as np
 
-from .engine import CodScheme, SeriesRun, StopPolicy, run_cod, run_cod_with_source
+from .engine import CodScheme
 from .grids import GridFunction, spectral_apply, wavenumbers, write_csv
 
 __all__ = [
     "build_scheme",
-    "inverse_laplacian",
-    "laplacian",
-    "resolvent",
-    "solve_stationary",
     "write_field_csv",
 ]
 
@@ -64,29 +60,6 @@ def _apply(f: GridFunction, multiplier, op=np.multiply) -> GridFunction:
     return f.with_values(spectral_apply(f.values, multiplier, range(f.values.ndim), op))
 
 
-def laplacian(f: GridFunction) -> GridFunction:
-    """Mode-wise Laplacian (multiply by -k^2)."""
-    return _apply(f, -_ksq(f.axes))
-
-
-def inverse_laplacian(f: GridFunction) -> GridFunction:
-    """Pseudo-inverse Laplacian: divide modes by -k^2, zero mode mapped to 0.
-
-    The output is always mean-free, so laplacian(inverse_laplacian(f))
-    reproduces f minus its mean.
-    """
-    return _apply(f, _pseudo_inverse_denominator(_ksq(f.axes)), np.divide)
-
-
-def resolvent(f: GridFunction, energy: float) -> GridFunction:
-    """Mode-wise multiplication by 1/(2E - k^2).
-
-    Raises when some grid mode satisfies 2E = k^2 exactly; for E < 0 every
-    denominator is negative and the inverse is unconditionally defined.
-    """
-    return _apply(f, _resolvent_denominator(_ksq(f.axes), energy), np.divide)
-
-
 def build_scheme(potential: GridFunction, energy: float, psi_g: GridFunction,
                  variant: str, gen_tol: float | None = None) -> CodScheme:
     """Scheme for Laplacian(psi) + 2(E - U) psi = 0 in the chosen variant.
@@ -112,56 +85,31 @@ def build_scheme(potential: GridFunction, energy: float, psi_g: GridFunction,
         gen_tol = 1e-9 * (1.0 + psi_g.sup_norm())
     ksq = _ksq(axes)
     minus_ksq = -ksq
-    defect_factor = 2.0 * (energy - u)
 
     def lap(f: GridFunction) -> GridFunction:
         return _apply(f, minus_ksq)
 
-    def defect_op(f: GridFunction) -> GridFunction:
-        return f.with_values(lap(f).values + defect_factor * f.values)
-
     if variant == "laplace":
         denom = _pseudo_inverse_denominator(ksq)
-        cycle_factor = 2.0 * u - 2.0 * energy
+        v_factor = 2.0 * u - 2.0 * energy
         g_op = lap
     elif variant == "resolvent":
         denom = _resolvent_denominator(ksq, energy)
-        cycle_factor = 2.0 * u
+        v_factor = 2.0 * u
 
         def g_op(f: GridFunction) -> GridFunction:
             return f.with_values(2.0 * energy * f.values + lap(f).values)
     else:
         raise ValueError(f"unknown variant {variant!r}; use 'laplace' or 'resolvent'")
 
-    def g_inverse(f: GridFunction) -> GridFunction:
-        return _apply(f, denom, np.divide)
-
-    def cycle(f: GridFunction) -> GridFunction:
-        return g_inverse(f.with_values(cycle_factor * f.values))
-
     return CodScheme(
-        cycle_map=cycle,
         generating=psi_g,
-        defect_op=defect_op,
         g_op=g_op,
-        g_inverse=g_inverse,
+        g_inverse=lambda f: _apply(f, denom, np.divide),
+        v_op=lambda f: f.with_values(v_factor * f.values),
         label=f"stationary-{variant}",
         gen_tol=gen_tol,
     )
-
-
-def solve_stationary(potential: GridFunction, energy: float, psi_g: GridFunction,
-                     variant: str, policy: StopPolicy, source: GridFunction | None = None,
-                     ) -> SeriesRun:
-    """Run the chosen decomposition; pass ``source`` for a driven problem.
-
-    The series converges only for weak enough potentials; a divergent run
-    is reported through the stop reason rather than raised.
-    """
-    scheme = build_scheme(potential, energy, psi_g, variant)
-    if source is not None:
-        return run_cod_with_source(scheme, source, policy)
-    return run_cod(scheme, policy)
 
 
 def write_field_csv(field: GridFunction, path, meta_path, box_lengths):

@@ -247,15 +247,14 @@ def _sub_node_step(setup: TdseSetup, step: PropagatorStep, psi: GridFunction,
 
 @dataclass
 class PropagationReport:
-    """Per-step records {step, t, norm, drift}, warnings, optional states."""
+    """Per-step records {step, t, norm, drift} and warnings."""
 
     records: list
     warnings: list
-    states: Optional[list] = None
 
 
-def propagate(setup: TdseSetup, step: PropagatorStep, t_final: float,
-              keep_history: bool = False) -> tuple[GridFunction, PropagationReport]:
+def propagate(setup: TdseSetup, step: PropagatorStep,
+              t_final: float) -> tuple[GridFunction, PropagationReport]:
     """Iterate :func:`cod_step` to t_final (a positive multiple of dt).
 
     The truncated series is not unitary; the report records the norm drift
@@ -274,17 +273,14 @@ def propagate(setup: TdseSetup, step: PropagatorStep, t_final: float,
         )
 
     records = []
-    states = [] if keep_history else None
     psi = setup.psi0
     for i in range(1, n_steps + 1):
         psi = cod_step(setup, step, psi, (i - 1) * step.dt)
         norm = psi.l2_norm()
         drift = abs(norm - 1.0)
         records.append({"step": i, "t": i * step.dt, "norm": norm, "drift": drift})
-        if keep_history:
-            states.append(psi)
         if drift > 0.1:
             raise RuntimeError(
                 f"propagation unstable: norm drift {drift:.3g} at step {i}"
             )
-    return psi, PropagationReport(records=records, warnings=warnings, states=states)
+    return psi, PropagationReport(records=records, warnings=warnings)

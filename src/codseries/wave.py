@@ -1,12 +1,13 @@
 """Decomposition series for the dispersive 1D wave equation.
 
 For d/dt(eps(x) dA/dt) - d^2A/dx^2 = 0 with A(0) = S and dA/dt(0) = R the
-invertible part is the double time derivative weighted by eps, inverted by
-two cumulative time integrals with 1/eps applied between them, and the
-remainder part is the spatial second derivative (applied spectrally on the
-periodic x grid).  The generating field is S(x) + t * R(x)/eps(x); its
-t = 0 row reproduces S exactly and its time derivative is R/eps, which
-coincides with R for eps == 1.
+invertible part G is the double time derivative weighted by eps, inverted
+by two cumulative time integrals with 1/eps applied between them, and the
+remainder part V is the spatial second derivative (applied spectrally on
+the periodic x grid); the engine derives the cycle map G^-1 V from them.
+The generating field is S(x) + t * R(x)/eps(x); its t = 0 row reproduces
+S exactly and its time derivative is R/eps, which coincides with R for
+eps == 1.
 
 The whole space-time field is stored densely because the cycle map is
 global in time; both axes are capped at 2048 samples.  Real eps, S and R
@@ -69,8 +70,9 @@ def build_wave_scheme(problem: WaveProblem, x_grid: Grid, t_grid: Grid,
 
     The fields are GridFunctions on ``(t_grid, x_grid)``; the x grid is read
     periodically (endpoint excluded) and the t grid must start at 0.
-    cycle_map(F) integrates the spectral d^2/dx^2 of F twice in time
-    (inner plain, 1/eps between, outer plain), both integrals from t = 0.
+    G = eps d^2/dt^2; G^-1 integrates twice in time (inner plain, 1/eps
+    between, outer plain), both integrals from t = 0; V is the spectral
+    d^2/dx^2.
     """
     if problem.epsilon.grid != x_grid:
         raise ValueError("problem data must be sampled on the given x grid")
@@ -84,26 +86,22 @@ def build_wave_scheme(problem: WaveProblem, x_grid: Grid, t_grid: Grid,
     dt = t_grid.step
     t_col = t_grid.points()[:, None]
 
-    def d2x(values: np.ndarray) -> np.ndarray:
-        return spectral_apply(values, minus_ksq, (1,))
-
-    def cycle(f: GridFunction) -> GridFunction:
-        inner = cumtrapz_from(d2x(f.values), dt, 0, axis=0)
-        outer = cumtrapz_from(inv_eps[None, :] * inner, dt, 0, axis=0)
-        return f.with_values(outer)
-
     def g_op(f: GridFunction) -> GridFunction:
         # time-independent eps: d/dt(eps d/dt .) == eps * d^2/dt^2, and the
         # single second-difference stencil stays second order at the time
         # boundaries where two chained first differences would drop to O(dt)
         return f.with_values(eps[None, :] * second_diff(f.values, dt, axis=0))
 
-    def defect_op(f: GridFunction) -> GridFunction:
-        return f.with_values(g_op(f).values - d2x(f.values))
-
     def g_inverse(f: GridFunction) -> GridFunction:
         inner = cumtrapz_from(f.values, dt, 0, axis=0)
-        return f.with_values(cumtrapz_from(inv_eps[None, :] * inner, dt, 0, axis=0))
+        # in the cycle map f is the engine's temporary V image; dropping it
+        # before the outer integral keeps one field fewer alive per term
+        del f
+        outer = cumtrapz_from(inv_eps[None, :] * inner, dt, 0, axis=0)
+        return GridFunction((t_grid, x_grid), outer)
+
+    def v_op(f: GridFunction) -> GridFunction:
+        return f.with_values(spectral_apply(f.values, minus_ksq, (1,)))
 
     generating = GridFunction(
         (t_grid, x_grid),
@@ -113,11 +111,10 @@ def build_wave_scheme(problem: WaveProblem, x_grid: Grid, t_grid: Grid,
         gen_tol = 1e-8 * (1.0 + generating.sup_norm())
 
     return CodScheme(
-        cycle_map=cycle,
         generating=generating,
-        defect_op=defect_op,
         g_op=g_op,
         g_inverse=g_inverse,
+        v_op=v_op,
         label="wave-dispersive",
         gen_tol=gen_tol,
     )

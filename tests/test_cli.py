@@ -57,6 +57,19 @@ class TestOscillatorCommand:
         report = json.loads((tmp_path / "oscillator_report.json").read_text())
         assert report["oracle_sup_error"] <= 1e-6
 
+    def test_conditions_off_the_grid_start_skip_the_oracle(self, tmp_path):
+        # the RK4 oracle needs both conditions at the grid start; it once ran
+        # anyway and ended the run with a solver error
+        code = run(["oscillator", "--omega-sq", "1", "--t-a", "0.5",
+                    "--out-dir", str(tmp_path)])
+        assert code == 0
+        report = json.loads((tmp_path / "oscillator_report.json").read_text())
+        assert "oracle_sup_error" not in report
+        rows = np.loadtxt(tmp_path / "oscillator_solution.csv", delimiter=",", skiprows=1)
+        assert np.isnan(rows[:, 3:]).all()
+        # f'' + f = 0 with f(0.5) = 1, f'(0.5) = 0
+        assert np.max(np.abs(rows[:, 1] - np.cos(rows[:, 0] - 0.5))) <= 1e-6
+
     def test_config_file_merged_and_overridden(self, tmp_path):
         config = tmp_path / "run.cfg"
         config.write_text("omega-sq = 1\nstep = 1e-2  # coarse\nmax-terms = 3\n")

@@ -11,7 +11,6 @@ from codseries.engine import (
     defect,
     run_cod,
     run_cod_with_source,
-    v_apply,
 )
 from codseries.grids import Grid, GridFunction
 from codseries.oscillator import OscillatorProblem, build_scheme
@@ -25,15 +24,17 @@ def constant_omega_problem(value, count=1001, a=1.0, b=0.0):
                              0.0, 0.0, a, b)
 
 
+def toy_scheme(generating, v_op, label=""):
+    """Toy scheme with G = G^-1 = identity, so its cycle map is ``v_op``."""
+    identity = lambda f: f
+    return CodScheme(generating=generating, g_op=identity, g_inverse=identity, v_op=v_op,
+                     label=label)
+
+
 def identity_scheme(grid, factor):
     """Toy scheme whose cycle map multiplies by a scalar factor."""
-    gen = GridFunction(grid, np.ones(grid.count))
-    return CodScheme(
-        cycle_map=lambda f: f.with_values(factor * f.values),
-        generating=gen,
-        defect_op=lambda f: f.with_values(np.zeros(grid.count)),
-        label="toy",
-    )
+    return toy_scheme(GridFunction(grid, np.ones(grid.count)),
+                      lambda f: f.with_values(factor * f.values), label="toy")
 
 
 class TestRunCod:
@@ -102,12 +103,8 @@ class TestStopping:
         # monotone growth by the full factor
         factors = iter([4.0, 4.0, 4.0, 0.01, 0.01, 1e-9, 1e-9, 1e-9])
         grid = Grid.from_interval(0.0, 1.0, 16)
-        gen = GridFunction(grid, np.ones(16))
-        scheme = CodScheme(
-            cycle_map=lambda f: f.with_values(next(factors) * f.values),
-            generating=gen,
-            defect_op=lambda f: f.with_values(np.zeros(16)),
-        )
+        scheme = toy_scheme(GridFunction(grid, np.ones(16)),
+                            lambda f: f.with_values(next(factors) * f.values))
         run = run_cod(scheme, StopPolicy(tol=1e-6, max_terms=30, divergence_window=6))
         assert run.stop_reason == "converged"
 
@@ -132,8 +129,7 @@ class TestStopping:
 
         # a complex entry needs a complex series: a real array cannot hold it
         seed = np.ones(8, dtype=complex if np.iscomplexobj(bad) else float)
-        scheme = CodScheme(cycle_map=cycle, generating=GridFunction(grid, seed),
-                           defect_op=lambda f: f)
+        scheme = toy_scheme(GridFunction(grid, seed), cycle)
         with pytest.raises(SeriesBlowUpError, match="series blow-up at term 3"):
             run_cod(scheme, StopPolicy(tol=1e-10, max_terms=10))
 
@@ -146,8 +142,7 @@ class TestStopping:
             factor = 0.5j if len(calls) == 2 else 0.5
             return f.with_values(factor * f.values)
 
-        scheme = CodScheme(cycle_map=cycle, generating=GridFunction(grid, np.ones(8)),
-                           defect_op=lambda f: f)
+        scheme = toy_scheme(GridFunction(grid, np.ones(8)), cycle)
         run = run_cod(scheme, StopPolicy(tol=1e-10, max_terms=3))
         assert calls == [np.float64, np.float64, np.complex128]
         assert run.partial_sum.values.dtype == np.complex128
@@ -215,11 +210,11 @@ class TestSource:
         assert np.max(np.abs(run.partial_sum.values - (1.0 - np.cos(t)))) <= 1e-6
 
     def test_missing_g_inverse(self):
+        # G^-1 lifts the source, so a scheme cannot be built without it
         grid = Grid.from_interval(0.0, 1.0, 8)
-        scheme = identity_scheme(grid, 0.5)
-        with pytest.raises(ValueError, match="g_inverse"):
-            run_cod_with_source(scheme, scheme.generating,
-                                StopPolicy(tol=1e-8, max_terms=5))
+        with pytest.raises(TypeError, match="g_inverse"):
+            CodScheme(generating=GridFunction(grid, np.ones(8)), g_op=lambda f: f,
+                      v_op=lambda f: f)
 
 
 class TestSeedIsolation:
@@ -267,7 +262,7 @@ class TestDefect:
         term = scheme.generating
         v_norm_est = 0.0
         for _ in range(run.terms_used):
-            image = v_apply(scheme, term)
+            image = scheme.v_op(term)
             v_norm_est = max(v_norm_est, image.sup_norm() / term.sup_norm())
             term = scheme.cycle_map(term)
         scale = 1.0 + run.partial_sum.sup_norm()
@@ -289,7 +284,7 @@ class TestDefect:
             total = total + term.values
             norm_sum += term.sup_norm()
             lhs = scheme.defect_op(term.with_values(total)).values
-            rhs = scheme.defect_op(term).values - scheme.g_op(term).values
+            rhs = -scheme.v_op(term).values
             assert np.max(np.abs(lhs - rhs)) <= 10.0 * grid.step ** 2 * norm_sum
 
 
@@ -299,12 +294,25 @@ class TestSchemeAndReport:
         bad = GridFunction(grid, grid.points() ** 2)  # not annihilated by d2/dt2
         with pytest.raises(ValueError, match="not annihilated"):
             CodScheme(
-                cycle_map=lambda f: f,
                 generating=bad,
-                defect_op=lambda f: f,
                 g_op=lambda f: f.with_values(np.full(101, 2.0)),
+                g_inverse=lambda f: f,
+                v_op=lambda f: f,
                 gen_tol=1e-6,
             )
+
+    def test_cycle_map_and_defect_are_derived_from_g_and_v(self):
+        grid = Grid.from_interval(0.0, 1.0, 8)
+        f = GridFunction(grid, np.arange(8.0))
+        scheme = CodScheme(generating=f, g_op=lambda h: h.with_values(3.0 * h.values),
+                           g_inverse=lambda h: h.with_values(h.values / 4.0),
+                           v_op=lambda h: h.with_values(h.values + 1.0))
+        assert np.array_equal(scheme.cycle_map(f).values, (f.values + 1.0) / 4.0)
+        assert np.array_equal(scheme.defect_op(f).values, 3.0 * f.values - (f.values + 1.0))
+        for composite in ("cycle_map", "defect_op"):
+            with pytest.raises(TypeError, match=composite):
+                CodScheme(generating=f, g_op=scheme.g_op, g_inverse=scheme.g_inverse,
+                          v_op=scheme.v_op, **{composite: scheme.v_op})
 
     def test_report_fields(self):
         scheme = build_scheme(constant_omega_problem(1.0, count=201))

@@ -116,24 +116,25 @@ class TestCrankNicolson:
         assert result.error_estimate < 1e-4
 
     def test_harmonic_revival_period(self):
-        # harmonic spectrum is equally spaced, so |psi| revives at 2 pi;
-        # track the center trajectory and extract its period
+        # harmonic spectrum is equally spaced, so |psi| revives at 2 pi; the
+        # coherent state's center and mean momentum trace (2 cos t, -2 sin t),
+        # so their phase at t = pi and at t = 2 pi measures the period
         length, n = 20.0, 64
         grid = Grid.periodic(-10.0, length, n)
         x = grid.points()
+        k = TWO_PI * np.fft.fftfreq(n, d=grid.step)
         setup = TdseSetup(grid, lambda xv, t: 0.5 * xv ** 2, lambda t: 0.0,
                           normalize(GridFunction(grid, np.exp(-(x - 2.0) ** 2 / 2.0))))
         dt = 2.0 * np.pi / 2048
-        result = crank_nicolson(setup, dt, 2.0 * np.pi, validate=False,
-                                keep_history=True)
-        centers = np.array([float(np.sum(x * np.abs(s.values) ** 2) * grid.step)
-                            for _, s in result.diagnostics["states"]])
-        times = dt * np.arange(1, centers.size + 1)
-        signs = np.sign(centers)
-        crossings = times[:-1][signs[:-1] * signs[1:] < 0]
-        period = 2.0 * (crossings[1] - crossings[0])
-        assert abs(period - 2.0 * np.pi) <= 0.005 * 2.0 * np.pi
-        final = result.diagnostics["states"][-1][1].values
+        for t_final in (np.pi, 2.0 * np.pi):
+            final = crank_nicolson(setup, dt, t_final, validate=False).solution.values
+            center = float(np.sum(x * np.abs(final) ** 2) * grid.step)
+            spectrum = np.abs(np.fft.fft(final)) ** 2
+            momentum = float(np.sum(k * spectrum) / np.sum(spectrum))
+            # the phase t_final * 2 pi / period, unwrapped around t_final
+            phase = t_final + np.angle(complex(center, -momentum) * np.exp(-1j * t_final))
+            period = TWO_PI * t_final / phase
+            assert abs(period - 2.0 * np.pi) <= 0.005 * 2.0 * np.pi
         assert np.max(np.abs(np.abs(final) - np.abs(setup.psi0.values))) <= 5e-3
 
     def test_t_final_must_be_multiple(self):

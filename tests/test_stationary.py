@@ -3,16 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from codseries.engine import StopPolicy, defect, run_cod, run_cod_with_source, v_apply
+from codseries.engine import StopPolicy, defect, run_cod, run_cod_with_source
 from codseries.grids import Grid, GridFunction
-from codseries.stationary import (
-    build_scheme,
-    inverse_laplacian,
-    laplacian,
-    resolvent,
-    solve_stationary,
-    write_field_csv,
-)
+from codseries.stationary import build_scheme, write_field_csv
 
 TWO_PI = 2.0 * np.pi
 
@@ -27,6 +20,13 @@ def field_1d(values, length=TWO_PI):
 
 def field_2d(values, length=TWO_PI):
     return GridFunction(box(len(values), length, dims=2), values)
+
+
+def free_scheme(f, variant, energy=0.0):
+    """Scheme on the box of ``f`` with U = 0 and a zero generating function:
+    its G is the Laplacian (laplace) or 2E + Laplacian (resolvent)."""
+    zero = f.with_values(np.zeros(f.values.shape))
+    return build_scheme(zero, energy, zero, variant)
 
 
 def check_box(f):
@@ -69,30 +69,32 @@ class TestInverseLaplacian:
     def test_single_mode(self):
         x = np.arange(64) * (TWO_PI / 64)
         f = field_1d(np.sin(x))
-        out = inverse_laplacian(f)
+        out = free_scheme(f, "laplace").g_inverse(f)
         assert np.allclose(out.values, -np.sin(x), atol=1e-12)
 
     def test_constant_annihilated(self):
-        out = inverse_laplacian(field_1d(np.full(16, 2.5)))
+        f = field_1d(np.full(16, 2.5))
+        out = free_scheme(f, "laplace").g_inverse(f)
         assert np.max(np.abs(out.values)) <= 1e-14
 
     def test_projector_identity_random(self):
         rng = np.random.default_rng(11)
         f = field_1d(rng.standard_normal(64) + 1j * rng.standard_normal(64))
-        back = laplacian(inverse_laplacian(f))
+        scheme = free_scheme(f, "laplace")
+        back = scheme.g_op(scheme.g_inverse(f))
         assert np.max(np.abs(back.values - (f.values - f.values.mean()))) <= 1e-10
 
     def test_output_mean_free(self):
         rng = np.random.default_rng(12)
         f = field_1d(rng.standard_normal(32))
-        assert abs(np.mean(inverse_laplacian(f).values)) <= 1e-14
+        assert abs(np.mean(free_scheme(f, "laplace").g_inverse(f).values)) <= 1e-14
 
     def test_2d_mode(self):
         n = 16
         axis = np.arange(n) * (TWO_PI / n)
         gx, gy = np.meshgrid(axis, axis, indexing="ij")
         f = field_2d(np.sin(gx) * np.cos(2.0 * gy))
-        out = inverse_laplacian(f)
+        out = free_scheme(f, "laplace").g_inverse(f)
         assert np.allclose(out.values, -f.values / 5.0, atol=1e-12)
 
 
@@ -100,22 +102,23 @@ class TestResolvent:
     def test_single_mode(self):
         x = np.arange(64) * (TWO_PI / 64)
         f = field_1d(np.exp(1j * x))
-        out = resolvent(f, -0.5)
+        out = free_scheme(f, "resolvent", -0.5).g_inverse(f)
         assert np.allclose(out.values, f.values / (-1.0 - 1.0), atol=1e-13)
 
     def test_inverse_identity_random(self):
         rng = np.random.default_rng(13)
         f = field_1d(rng.standard_normal(64) + 1j * rng.standard_normal(64))
-        out = resolvent(f, -1.0)
-        recovered = -2.0 * out.values + laplacian(out).values
+        scheme = free_scheme(f, "resolvent", -1.0)
+        recovered = scheme.g_op(scheme.g_inverse(f)).values
         assert np.max(np.abs(recovered - f.values)) <= 1e-10
 
     def test_delta_source_kernel(self):
         values = np.zeros(64, dtype=complex)
         values[0] = 1.0
         f = field_1d(values)
-        g = resolvent(f, -0.5)
-        forward = -1.0 * g.values + laplacian(g).values
+        scheme = free_scheme(f, "resolvent", -0.5)
+        g = scheme.g_inverse(f)
+        forward = scheme.g_op(g).values
         assert np.max(np.abs(forward - f.values)) <= 1e-8
         # screened kernel decays away from the source
         assert abs(g.values[32]) < abs(g.values[1])
@@ -123,7 +126,7 @@ class TestResolvent:
     def test_on_shell_mode_rejected(self):
         # E = k^2/2 for the fundamental mode sits exactly on a grid mode
         with pytest.raises(ValueError, match="on-shell mode"):
-            resolvent(field_1d(np.zeros(16)), 0.5)
+            free_scheme(field_1d(np.zeros(16)), "resolvent", 0.5)
 
 
 class TestSolve:
@@ -162,12 +165,12 @@ class TestSolve:
         assert run.stop_reason == "converged"
         assert defect(scheme, run, source=source).sup_norm() <= 1e-6
 
-    def test_solve_stationary_wrapper(self):
+    def test_free_constant_at_zero_energy_stays_constant(self):
         n = 32
         potential = field_1d(np.zeros(n), length=TWO_PI)
         psi_g = field_1d(np.ones(n))
-        run = solve_stationary(potential, 0.0, psi_g, "laplace",
-                               StopPolicy(tol=1e-10, max_terms=5))
+        run = run_cod(build_scheme(potential, 0.0, psi_g, "laplace"),
+                      StopPolicy(tol=1e-10, max_terms=5))
         assert np.allclose(run.partial_sum.values, 1.0)
 
     def test_strong_potential_reports_divergence(self):
@@ -177,9 +180,8 @@ class TestSolve:
         psi_g = field_1d(np.zeros(n))
         source_values = np.zeros(n, dtype=complex)
         source_values[0] = 1.0
-        run = solve_stationary(potential, -0.5, psi_g, "resolvent",
-                               StopPolicy(tol=1e-9, max_terms=60),
-                               source=field_1d(source_values))
+        run = run_cod_with_source(build_scheme(potential, -0.5, psi_g, "resolvent"),
+                                  field_1d(source_values), StopPolicy(tol=1e-9, max_terms=60))
         assert run.stop_reason == "divergence_detected"
 
     def test_unknown_variant(self):
@@ -212,11 +214,11 @@ class TestTelescoping:
         total = term.values.copy()
         mean_correction = 0.0j
         for _ in (1, 2):
-            mean_correction += np.mean(v_apply(scheme, term).values)
+            mean_correction += np.mean(scheme.v_op(term).values)
             term = scheme.cycle_map(term)
             total = total + term.values
             lhs = scheme.defect_op(term.with_values(total)).values
-            rhs = -v_apply(scheme, term).values - mean_correction
+            rhs = -scheme.v_op(term).values - mean_correction
             assert np.max(np.abs(lhs - rhs)) <= 1e-11
 
     def test_resolvent_variant_clean(self):
@@ -233,7 +235,7 @@ class TestTelescoping:
             term = scheme.cycle_map(term)
             total = total + term.values
             lhs = scheme.defect_op(term.with_values(total)).values - source.values
-            rhs = -v_apply(scheme, term).values
+            rhs = -scheme.v_op(term).values
             assert np.max(np.abs(lhs - rhs)) <= 1e-11
 
 
@@ -254,8 +256,8 @@ class TestTwoDimensional:
         rng = np.random.default_rng(17)
         n = 16
         f = field_2d(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
-        out = resolvent(f, -1.0)
-        recovered = -2.0 * out.values + laplacian(out).values
+        scheme = free_scheme(f, "resolvent", -1.0)
+        recovered = scheme.g_op(scheme.g_inverse(f)).values
         assert np.max(np.abs(recovered - f.values)) <= 1e-10
 
 

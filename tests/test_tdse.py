@@ -363,27 +363,52 @@ class TestPropagate:
         with pytest.raises(RuntimeError, match="propagation unstable"):
             propagate(setup, PropagatorStep(dt=1e-2, n_terms=4), 0.1)
 
+    def test_time_dependent_data_match_the_time_dependent_oracle(self):
+        # t-dependent U and A take the sub-node path; the oracle rebuilds H at
+        # every step midpoint, while its default mode, which freezes H at
+        # t = 0, misses this run by 3.5e-2
+        grid = Grid.periodic(-8.0, 16.0, 32)
+        x = grid.points()
+        setup = TdseSetup(grid, lambda xv, t: 0.1 * xv ** 2 + 0.3 * t * np.cos(xv),
+                          lambda t: 0.2 * np.sin(3.0 * t),
+                          normalize(GridFunction(grid, np.exp(-x ** 2 / 2.0))))
+        final, _ = propagate(setup, PropagatorStep(dt=5e-3, n_terms=4), 0.5)
+        oracle = crank_nicolson(setup, 1e-3, 0.5, time_dependent=True)
+        frozen = crank_nicolson(setup, 1e-3, 0.5)
+        assert oracle.error_estimate <= 2e-8
+        assert np.max(np.abs(final.values - oracle.solution.values)) <= 2.0 * oracle.error_estimate
+        assert np.max(np.abs(final.values - frozen.solution.values)) >= 1e-2
+
     def test_harmonic_center_follows_classical_motion(self):
         # coherent state in U = x^2/2: center must trace 2 cos(t) with
         # period 2 pi, cross-checked against the Crank-Nicolson oracle
         length, n = 20.0, 64
         grid = Grid.periodic(-10.0, length, n)
         x = grid.points()
-        setup = TdseSetup(grid, lambda xv, t: 0.5 * xv ** 2, ZERO_FIELD,
+        potential = lambda xv, t: 0.5 * xv ** 2
+        setup = TdseSetup(grid, potential, ZERO_FIELD,
                           normalize(GridFunction(grid, np.exp(-(x - 2.0) ** 2 / 2.0))))
         dt = 2.0 * np.pi / 1024
-        _, report = propagate(setup, PropagatorStep(dt=dt, n_terms=4),
-                              2.0 * np.pi, keep_history=True)
 
         def center(values):
             density = np.abs(values) ** 2
             return float(np.sum(x * density) * grid.step)
 
-        cod_centers = np.array([center(state.values) for state in report.states])
-        oracle = crank_nicolson(setup, dt / 16.0, 2.0 * np.pi, validate=False,
-                                keep_history=True, history_stride=16)
-        cn_centers = np.array([center(state.values)
-                               for _, state in oracle.diagnostics["states"]])
+        step = PropagatorStep(dt=dt, n_terms=4)
+        psi = setup.psi0
+        cod_centers = []
+        for i in range(1024):
+            psi = cod_step(setup, step, psi, i * dt)
+            cod_centers.append(center(psi.values))
+        cod_centers = np.array(cod_centers)
+        # U is t-free, so each oracle window restarts from the previous state at t = 0
+        oracle_setup = setup
+        cn_centers = []
+        for _ in range(1024):
+            state = crank_nicolson(oracle_setup, dt / 16.0, dt, validate=False).solution
+            oracle_setup = TdseSetup(grid, potential, ZERO_FIELD, state)
+            cn_centers.append(center(state.values))
+        cn_centers = np.array(cn_centers)
         assert cod_centers.size == cn_centers.size == 1024
         assert np.max(np.abs(cod_centers - cn_centers)) <= 0.01 * 2.0
 

@@ -165,7 +165,7 @@ class TestSeriesStructure:
             total = total + term.values
             norm_sum += term.sup_norm()
             lhs = scheme.defect_op(term.with_values(total)).values
-            rhs = scheme.defect_op(term).values - scheme.g_op(term).values
+            rhs = -scheme.v_op(term).values
             assert np.max(np.abs(lhs - rhs)) <= 10.0 * t_grid.step ** 2 * norm_sum
 
     def test_permittivity_rescale_is_time_rescale(self):

@@ -217,6 +217,8 @@ def _cmd_oscillator(ns) -> int:
     if oracle:
         report["oracle_sup_error"] = float(np.max(np.abs(run.partial_sum.values
                                                          - oracle.solution.values)))
+        report["oracle_error_estimate"] = oracle.error_estimate
+        report["oracle_substeps"] = oracle.diagnostics["substeps"]
     _write_report(_out_path(params, "oscillator_report.json"), report)
     return _exit_code(run, policy)
 

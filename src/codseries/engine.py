@@ -9,7 +9,9 @@ recurrence term[n+1] = cycle_map(term[n]) and stops per a
 ``StopPolicy``: convergence needs two consecutive terms below tolerance
 (a single small term can be accidental in an alternating series),
 divergence is flagged when term norms grow monotonically by a set factor
-across a window, and non-finite terms abort loudly.
+across a window, and non-finite terms abort loudly.  A term within 64 ulps of
+the previous term's sup norm is the round-off of an exactly ended series:
+it is not added, and the run stops as converged.
 
 Every value the engine handles is a :class:`~codseries.grids.GridFunction`
 (1D grid functions, periodic boxes and space-time fields alike).  Terms
@@ -50,6 +52,13 @@ DIVERGENCE_DETECTED = "divergence_detected"
 
 class SeriesBlowUpError(RuntimeError):
     """Raised when a series term contains non-finite values."""
+
+
+# a term at most this fraction of the previous term's sup norm ends the
+# series: where the map cancels its input exactly in exact arithmetic, it
+# leaves round-off instead of zeros (the FFT of a constant is exact at some
+# sizes only), up to 25 ulps of its input for the laplace variant at E = -1.5
+_ENDED_BELOW = 64.0 * float(np.finfo(float).eps)
 
 
 def _sup(value) -> float:
@@ -155,14 +164,11 @@ def _iterate(scheme: CodScheme, seed, policy: StopPolicy) -> SeriesRun:
         cn = _sup(cand)
         if not math.isfinite(cn):
             raise SeriesBlowUpError(f"series blow-up at term {n}")
-        if cn == 0.0:
-            # exactly terminated series: nothing further can contribute
-            small_streak += 1
-            if small_streak >= 2:
-                reason = CONVERGED
-                break
-            term = cand
-            continue
+        if cn <= _ENDED_BELOW * norms_hist[-1]:
+            # the map annihilated its input up to round-off: the series has
+            # ended exactly, and every later term is the map of this noise
+            reason = CONVERGED
+            break
         if np.iscomplexobj(cand.values) and not np.iscomplexobj(total.values):
             total = total.with_values(total.values.astype(complex))
         total.values += cand.values

@@ -26,6 +26,7 @@ __all__ = [
     "first_diff",
     "read_csv",
     "second_diff",
+    "second_diff_roundoff",
     "spectral_apply",
     "wavenumbers",
     "write_csv",
@@ -167,6 +168,17 @@ def second_diff(values, step: float, axis: int = 0) -> np.ndarray:
         out[0] = (v[0] - 2.0 * v[1] + v[2]) / h2
         out[-1] = out[0]
     return np.moveaxis(out, 0, axis)
+
+
+def second_diff_roundoff(scale: float, step: float) -> float:
+    """Round-off bound of :func:`second_diff` on samples of size ``scale``.
+
+    Each sample carries a rounding error of up to eps * scale, and the
+    five-point end stencil sums 320/12 < 27 of them over step^2, so even
+    an exactly linear profile differences to about 27 * eps * scale /
+    step^2, which outgrows any fixed tolerance on fine grids.
+    """
+    return 27.0 * np.finfo(float).eps * scale / (step * step)
 
 
 def first_diff(values, step: float, axis: int = 0) -> np.ndarray:

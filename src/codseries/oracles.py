@@ -10,6 +10,10 @@ Richardson error estimate; trust it, not the nominal order.
 
 The RK4 oracle calls its profile ``omega_sq`` with arrays of times, a block
 at a time, so the profile must be vectorized; a scalar return is broadcast.
+An RK4 step of the linear system is a 2x2 matrix, so the oracle marches a
+block as the prefix products of its step matrices, formed by a log-depth
+doubling scan in numpy; only the order of evaluation differs from a
+step-by-step loop.
 """
 
 import numpy as np
@@ -37,55 +41,71 @@ class OracleResult:
     diagnostics: dict = field(default_factory=dict)
 
 
-# RK4 steps sampled per omega_sq call: amortizes the call, keeps arrays small
+# RK4 steps per chunk: one omega_sq call and one scan each, so the chunk
+# bounds the scan's (2, 2, steps) arrays while amortizing the call
 _RK4_CHUNK_STEPS = 2048
 # Richardson target of the RK4 oracle and its cap on substep doublings
 _RK4_TARGET_ESTIMATE = 1e-9
 _RK4_MAX_REFINEMENTS = 12
 
 
-def _rk4_samples(omega_sq, grid: Grid, lo: int, hi: int, substeps: int, h: float):
-    """w2 at t, t + h/2 and t + h for every RK4 step of grid intervals
-    ending at points lo..hi-1, as three nested lists (interval, substep).
+def _rk4_step_offsets(omega_sq, grid: Grid, lo: int, hi: int, substeps: int,
+                      h: float) -> np.ndarray:
+    """M - I for the 2x2 matrix M of every RK4 step of grid intervals ending
+    at points lo..hi-1, as an array d[row, column, step].
 
-    The times are bit-for-bit the ones a scalar loop visits: each interval
-    starts at ``grid.start + (i - 1) * grid.step`` (the first one at
-    ``grid.start`` itself) and advances by repeated ``t += h``.
+    w2 is sampled at t, t + h/2 and t + h at bit-for-bit the times a scalar
+    loop visits: each interval starts at ``grid.start + (i - 1) * grid.step``
+    (the first one at ``grid.start`` itself) and advances by repeated
+    ``t += h``.  Column j is the stage formulas run from the unit vector
+    e_j, so the result is real for real w2.  Keeping M - I instead of M
+    keeps its O(h) entries to full relative precision; the rounded
+    1 + O(h^2) diagonal of M would repeat one rounding error per step for
+    constant w2, and that error grows linearly with the step count.
     """
     t = np.full((hi - lo, substeps), h)
     t[:, 0] = grid.start + np.arange(lo - 1, hi - 1) * grid.step
     if lo == 1:
         t[0, 0] = grid.start
-    t = np.cumsum(t, axis=1)  # sequential, so each entry is exactly t += h
+    t = np.cumsum(t, axis=1).ravel()  # sequential, so each entry is exactly t += h
     times = np.stack((t, t + 0.5 * h, t + h))
-    w2 = np.broadcast_to(np.asarray(omega_sq(times)), times.shape)
-    return w2.tolist()
+    w0, wm, w1 = np.broadcast_to(np.asarray(omega_sq(times)), times.shape)
+    y1 = np.array([[1.0], [0.0]])  # rows: the stages started from e_1 and e_2
+    y2 = y1[::-1]
+    k1a = y2
+    k1b = -w0 * y1
+    k2a = y2 + 0.5 * h * k1b
+    k2b = -wm * (y1 + 0.5 * h * k1a)
+    k3a = y2 + 0.5 * h * k2b
+    k3b = -wm * (y1 + 0.5 * h * k2a)
+    k4a = y2 + h * k3b
+    k4b = -w1 * (y1 + h * k3a)
+    return np.stack(((h / 6.0) * (k1a + 2.0 * k2a + 2.0 * k3a + k4a),
+                     (h / 6.0) * (k1b + 2.0 * k2b + 2.0 * k3b + k4b)))
 
 
 def _rk4_run(omega_sq: Callable[[np.ndarray], Any], a: complex, b: complex,
              grid: Grid, substeps: int) -> np.ndarray:
     h = grid.step / substeps
     f = np.empty(grid.count, dtype=complex)
-    y1 = complex(a)
-    y2 = complex(b)
-    f[0] = y1
+    y = np.array([a, b], dtype=complex)
+    f[0] = y[0]
     chunk = max(1, _RK4_CHUNK_STEPS // substeps)
     for lo in range(1, grid.count, chunk):
         hi = min(lo + chunk, grid.count)
-        w_start, w_mid, w_end = _rk4_samples(omega_sq, grid, lo, hi, substeps, h)
-        for i, row_start, row_mid, row_end in zip(range(lo, hi), w_start, w_mid, w_end):
-            for w0, wm, w1 in zip(row_start, row_mid, row_end):
-                k1a = y2
-                k1b = -w0 * y1
-                k2a = y2 + 0.5 * h * k1b
-                k2b = -wm * (y1 + 0.5 * h * k1a)
-                k3a = y2 + 0.5 * h * k2b
-                k3b = -wm * (y1 + 0.5 * h * k2a)
-                k4a = y2 + h * k3b
-                k4b = -w1 * (y1 + h * k3a)
-                y1 = y1 + (h / 6.0) * (k1a + 2.0 * k2a + 2.0 * k3a + k4a)
-                y2 = y2 + (h / 6.0) * (k1b + 2.0 * k2b + 2.0 * k3b + k4b)
-            f[i] = y1
+        d = _rk4_step_offsets(omega_sq, grid, lo, hi, substeps, h)
+        # Hillis-Steele scan: after the pass with shift s, I + d[..., j] is
+        # the product of steps max(0, j - 2s + 1)..j, the later one on the
+        # left; (I + A)(I + B) = I + A + B + AB
+        shift = 1
+        while shift < d.shape[2]:
+            later, earlier = d[:, :, shift:], d[:, :, :-shift]
+            d[:, :, shift:] = (later + earlier + later[:, 0, None] * earlier[None, 0]
+                               + later[:, 1, None] * earlier[None, 1])
+            shift *= 2
+        ends = d[:, :, substeps - 1::substeps]
+        f[lo:hi] = y[0] + ends[0, 0] * y[0] + ends[0, 1] * y[1]
+        y = y + d[:, :, -1] @ y
     return f
 
 
@@ -112,7 +132,8 @@ def rk4_oscillator(omega_sq: Callable[[np.ndarray], Any], a: complex, b: complex
         prev = cur
         if estimate <= _RK4_TARGET_ESTIMATE:
             break
-    return OracleResult(GridFunction(grid, prev), "rk4", grid.step / substeps, estimate)
+    return OracleResult(GridFunction(grid, prev), "rk4", grid.step / substeps, estimate,
+                        {"substeps": substeps})
 
 
 def _dense_hamiltonian(setup: TdseSetup, t: float) -> np.ndarray:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import CodScheme
-from .grids import GridFunction, cumulative_integral, second_diff
+from .grids import GridFunction, cumulative_integral, second_diff, second_diff_roundoff
 
 __all__ = [
     "OscillatorProblem",
@@ -67,7 +67,8 @@ def build_scheme(problem: OscillatorProblem, gen_tol: float | None = None,
     t = grid.points()
     generating = GridFunction(grid, problem.a + problem.b * (t - problem.t_a))
     if gen_tol is None:
-        gen_tol = 1e-8 * (1.0 + generating.sup_norm())
+        sup = generating.sup_norm()
+        gen_tol = 1e-8 * (1.0 + sup) + second_diff_roundoff(sup, grid.step)
 
     def g_op(f: GridFunction) -> GridFunction:
         return f.with_values(second_diff(f.values, grid.step))

@@ -28,8 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import CodScheme, SeriesRun, StopPolicy, run_cod
-from .grids import (Grid, GridFunction, cumtrapz_from, second_diff, spectral_apply, wavenumbers,
-                    write_csv)
+from .grids import (Grid, GridFunction, cumtrapz_from, second_diff, second_diff_roundoff,
+                    spectral_apply, wavenumbers, write_csv)
 
 __all__ = [
     "WaveProblem",
@@ -108,7 +108,8 @@ def build_wave_scheme(problem: WaveProblem, x_grid: Grid, t_grid: Grid,
         problem.S.values[None, :] + t_col * (inv_eps * problem.R.values)[None, :],
     )
     if gen_tol is None:
-        gen_tol = 1e-8 * (1.0 + generating.sup_norm())
+        sup = generating.sup_norm()
+        gen_tol = 1e-8 * (1.0 + sup) + second_diff_roundoff(float(np.max(eps)) * sup, dt)
 
     return CodScheme(
         generating=generating,

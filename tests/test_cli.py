@@ -24,6 +24,8 @@ class TestOscillatorCommand:
         assert report["stop_reason"] == "converged"
         assert report["two_term_gap"] <= 0.0273
         assert report["oracle_sup_error"] <= 1e-5
+        assert report["oracle_error_estimate"] <= 1e-9
+        assert report["oracle_substeps"] == 2
         solution = (tmp_path / "oscillator_solution.csv").read_text().splitlines()
         assert solution[0] == "t,f_re,f_im,oracle_re,oracle_im"
         terms = (tmp_path / "oscillator_terms.csv").read_text().splitlines()
@@ -64,11 +66,19 @@ class TestOscillatorCommand:
                     "--out-dir", str(tmp_path)])
         assert code == 0
         report = json.loads((tmp_path / "oscillator_report.json").read_text())
-        assert "oracle_sup_error" not in report
+        assert not {"oracle_sup_error", "oracle_error_estimate", "oracle_substeps"} & set(report)
         rows = np.loadtxt(tmp_path / "oscillator_solution.csv", delimiter=",", skiprows=1)
         assert np.isnan(rows[:, 3:]).all()
         # f'' + f = 0 with f(0.5) = 1, f'(0.5) = 0
         assert np.max(np.abs(rows[:, 1] - np.cos(rows[:, 0] - 0.5))) <= 1e-6
+
+    def test_fine_step_accepts_linear_generating_function(self, tmp_path):
+        # the round-off of the second difference of 1 + t at step 1e-4 once
+        # failed the generating-function check: exit 1
+        assert run(["oscillator", "--b", "1", "--step", "1e-4",
+                    "--out-dir", str(tmp_path)]) == 0
+        report = json.loads((tmp_path / "oscillator_report.json").read_text())
+        assert report["oracle_sup_error"] <= 1e-8
 
     def test_config_file_merged_and_overridden(self, tmp_path):
         config = tmp_path / "run.cfg"
@@ -401,6 +411,12 @@ class TestWaveCommand:
         assert snap[0] == "x,re,im"
         report = json.loads((tmp_path / "wave_report.json").read_text())
         assert report["stop_reason"] == "converged"
+
+    def test_fine_time_step_accepts_linear_initial_data(self, tmp_path):
+        # S + t R at t step 1.25e-4 once failed the generating-function
+        # check on round-off: exit 3
+        assert run(["wave", "--r-init", "sin(x)", "--t-max", "0.05", "--t-size", "401",
+                    "--x-size", "16", "--out-dir", str(tmp_path)]) == 0
 
     def test_divergence_exit_and_warning(self, tmp_path, capsys):
         code = run(["wave", "--epsilon", "1", "--s-init", "sin(x)",

@@ -1,6 +1,11 @@
+import sys
+
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from codseries import oracles
 from codseries.grids import Grid, GridFunction
 from codseries.oracles import _rk4_run, crank_nicolson, leapfrog_wave, rk4_oscillator
 from codseries.oscillator import power_series_solution
@@ -10,43 +15,124 @@ from codseries.wave import WaveProblem
 TWO_PI = 2.0 * np.pi
 
 
-def scalar_rk4_run(omega_sq, a, b, grid, substeps):
-    """Reference: RK4 with one scalar omega_sq call per stage."""
-    h = grid.step / substeps
-    f = np.empty(grid.count, dtype=complex)
-    y1, y2 = complex(a), complex(b)
-    f[0] = y1
+def scalar_rk4_run(omega_sq, a, b, grid, substeps, num=complex):
+    """Reference: RK4 with one scalar omega_sq call per stage, in the
+    arithmetic of ``num``; the times always advance in float64."""
+    step = grid.step / substeps
+    h = num(step)
+    y1, y2 = num(a), num(b)
+    f = [y1]
     t = grid.start
     for i in range(1, grid.count):
         for _ in range(substeps):
             k1a = y2
-            k1b = -omega_sq(t) * y1
+            k1b = -num(omega_sq(t)) * y1
             k2a = y2 + 0.5 * h * k1b
-            k2b = -omega_sq(t + 0.5 * h) * (y1 + 0.5 * h * k1a)
+            k2b = -num(omega_sq(t + 0.5 * step)) * (y1 + 0.5 * h * k1a)
             k3a = y2 + 0.5 * h * k2b
-            k3b = -omega_sq(t + 0.5 * h) * (y1 + 0.5 * h * k2a)
+            k3b = -num(omega_sq(t + 0.5 * step)) * (y1 + 0.5 * h * k2a)
             k4a = y2 + h * k3b
-            k4b = -omega_sq(t + h) * (y1 + h * k3a)
-            y1 = y1 + (h / 6.0) * (k1a + 2.0 * k2a + 2.0 * k3a + k4a)
-            y2 = y2 + (h / 6.0) * (k1b + 2.0 * k2b + 2.0 * k3b + k4b)
-            t += h
+            k4b = -num(omega_sq(t + step)) * (y1 + h * k3a)
+            y1 = y1 + (h / 6) * (k1a + 2 * k2a + 2 * k3a + k4a)
+            y2 = y2 + (h / 6) * (k1b + 2 * k2b + 2 * k3b + k4b)
+            t += step
         t = grid.start + i * grid.step
-        f[i] = y1
+        f.append(y1)
     return f
+
+
+class Recorder:
+    """Wraps a profile and keeps every time it is called with."""
+
+    def __init__(self, omega_sq):
+        self.omega_sq = omega_sq
+        self.calls = []
+
+    def __call__(self, t):
+        self.calls.append(np.array(t, copy=True))
+        return self.omega_sq(t)
+
+
+PROFILES = {
+    "real": lambda t: 1.0 + 0.3 * t * t - 0.1 * t,
+    "complex": lambda t: (1.0 + 0.5j) - 0.2 * t,
+    "growing": lambda t: -1.0 + 0.0 * t,
+}
 
 
 class TestRk4:
     @pytest.mark.parametrize("count, substeps", [(3000, 1), (3000, 3), (10, 700)])
-    @pytest.mark.parametrize("omega_sq", [
-        lambda t: 1.0 + 0.3 * t * t - 0.1 * t,
-        lambda t: (1.0 + 0.5j) - 0.2 * t,
-    ])
+    @pytest.mark.parametrize("omega_sq", [PROFILES["real"], PROFILES["complex"]])
     def test_matches_scalar_reference_loop(self, omega_sq, count, substeps):
-        # sampling w2 in blocks must visit the very same times and
-        # reproduce the scalar loop bit for bit, across block boundaries
+        # the blocks must sample w2 at the very same times as a scalar loop,
+        # bit for bit, across block boundaries; the values differ from the
+        # loop's by the reordered round-off only
         grid = Grid.from_interval(-0.3, 0.4, count)
+        scalar = Recorder(omega_sq)
+        expected = np.array(scalar_rk4_run(scalar, 1.0, 0.5j, grid, substeps))
+        stages = np.array(scalar.calls).reshape(-1, 4)
+        assert np.array_equal(stages[:, 1], stages[:, 2])
+        blocks = Recorder(omega_sq)
+        got = _rk4_run(blocks, 1.0, 0.5j, grid, substeps)
+        assert len(blocks.calls) > 1
+        times = np.concatenate([block.reshape(3, -1).T for block in blocks.calls])
+        assert np.array_equal(times, stages[:, [0, 1, 3]])
+        assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+    @pytest.mark.parametrize("count, substeps, t_max", [(3000, 1, 0.4), (700, 3, 4.0)])
+    @pytest.mark.parametrize("profile", sorted(PROFILES))
+    def test_matches_high_precision_recurrence(self, profile, count, substeps, t_max):
+        # the same recurrence on the same float64 samples in 40-digit
+        # arithmetic: what remains is the round-off of the scan
+        grid = Grid.from_interval(-0.3, t_max, count)
+        omega_sq = PROFILES[profile]
         got = _rk4_run(omega_sq, 1.0, 0.5j, grid, substeps)
-        assert np.array_equal(got, scalar_rk4_run(omega_sq, 1.0, 0.5j, grid, substeps))
+        with mpmath.workdps(40):
+            exact = np.array([complex(v) for v in scalar_rk4_run(
+                omega_sq, 1.0, 0.5j, grid, substeps, num=mpmath.mpc)])
+        assert np.max(np.abs(got - exact)) <= 1e-11 * np.max(np.abs(exact))
+
+    @settings(max_examples=40, deadline=None)
+    @given(a=st.complex_numbers(max_magnitude=1e3),
+           b=st.complex_numbers(max_magnitude=1e3),
+           c0=st.floats(-2.0, 2.0), c1=st.floats(-2.0, 2.0),
+           complex_profile=st.booleans(),
+           count=st.integers(2, 2500), substeps=st.integers(1, 4))
+    def test_linear_in_the_initial_data(self, a, b, c0, c1, complex_profile,
+                                        count, substeps):
+        c1 = c1 * 1j if complex_profile else c1
+        omega_sq = lambda t: c0 + c1 * np.sin(3.0 * t)
+        grid = Grid.from_interval(0.0, 2.0, count)
+        f1 = _rk4_run(omega_sq, 1.0, 0.0, grid, substeps)
+        f2 = _rk4_run(omega_sq, 0.0, 1.0, grid, substeps)
+        got = _rk4_run(omega_sq, a, b, grid, substeps)
+        scale = abs(a) * np.max(np.abs(f1)) + abs(b) * np.max(np.abs(f2))
+        assert np.max(np.abs(got - (a * f1 + b * f2))) <= 1e-13 * scale
+
+    def test_no_per_step_python_loop(self):
+        # timing-free guard: a Python loop over the RK4 steps would run at
+        # least one line of oracles.py per step
+        grid = Grid.from_interval(0.0, 1.0, 10001)
+        lines = 0
+
+        def tracer(frame, event, arg):
+            nonlocal lines
+            if frame.f_code.co_filename != oracles.__file__:
+                return None
+            lines += event == "line"
+            return tracer
+
+        previous = sys.gettrace()
+        sys.settrace(tracer)
+        try:
+            result = rk4_oscillator(lambda t: 1.0 - 0.5 * np.sin(t), 1.0, 0.0, 0.0, grid)
+        finally:
+            sys.settrace(previous)
+        substeps = result.diagnostics["substeps"]
+        assert substeps == 2
+        # the Richardson loop marches with 1, 2, 4, ..., substeps substeps
+        steps = (grid.count - 1) * (2 * substeps - 1)
+        assert lines < steps / 10
 
     def test_constant_frequency_cosine(self):
         grid = Grid.from_interval(0.0, 1.0, 201)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -30,6 +31,16 @@ class TestScheme:
         run = run_cod(build_scheme(problem), StopPolicy(tol=1e-12, max_terms=5))
         t = problem.omega_sq.grid.points()
         assert np.allclose(run.partial_sum.values, 2.0 - t, atol=1e-14)
+
+    def test_fine_grid_accepts_linear_data_and_refuses_curved_data(self):
+        # at step 1e-4 the second difference of 1 + t rounds to 1.5e-7, which
+        # a tolerance of 1e-8 * (1 + sup) once refused
+        problem = make_problem(np.ones_like, count=10001, b=1.0)
+        scheme = build_scheme(problem)
+        t = problem.omega_sq.grid.points()
+        curved = scheme.generating.with_values(scheme.generating.values + 1e-3 * t ** 2)
+        with pytest.raises(ValueError, match="not annihilated"):
+            dataclasses.replace(scheme, generating=curved)
 
     def test_first_term_is_minus_half_t_squared(self):
         problem = make_problem(lambda t: np.ones_like(t), count=101)

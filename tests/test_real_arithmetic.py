@@ -81,10 +81,10 @@ class TestWriter:
        variant=st.sampled_from(["laplace", "resolvent"]),
        with_source=st.booleans(),
        energy=st.floats(-1.5, -0.1),
-       # U = 0 would end the laplace series exactly, on terms that are exact
-       # zeros only where the size's FFT of a constant happens to be exact,
-       # which differs between the real and the complex transform
-       amplitude=st.floats(0.01, 0.6),
+       # U = 0 ends the laplace series exactly; amplitudes near 1e-16 would
+       # put the terms at the round-off floor the engine takes for that end,
+       # where the real and the complex transform may fall either side of it
+       amplitude=st.just(0.0) | st.floats(0.01, 0.6),
        seed=st.integers(0, 2 ** 32 - 1))
 def test_stationary_real_run_matches_complex_run(dims, half_size, variant, with_source,
                                                  energy, amplitude, seed):

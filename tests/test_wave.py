@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -26,6 +27,17 @@ class TestValidation:
         x_grid, problem = make_problem(8, np.ones_like, np.sin, np.zeros_like, length=1.0)
         with pytest.raises(ValueError, match="start at 0"):
             build_wave_scheme(problem, x_grid, Grid.from_interval(0.5, 1.0, 11))
+
+    def test_fine_time_grid_accepts_linear_data_and_refuses_curved_data(self):
+        # at t step 1.25e-4 the second difference of S + t R rounds to 1e-7,
+        # which a tolerance of 1e-8 * (1 + sup) once refused
+        x_grid, problem = make_problem(16, np.ones_like, np.sin, np.sin)
+        t_grid = Grid.from_interval(0.0, 0.05, 401)
+        scheme = build_wave_scheme(problem, x_grid, t_grid)
+        t = t_grid.points()[:, None]
+        curved = scheme.generating.with_values(scheme.generating.values + 1e-3 * t ** 2)
+        with pytest.raises(ValueError, match="not annihilated"):
+            dataclasses.replace(scheme, generating=curved)
 
     def test_axis_caps(self):
         x_grid, problem = make_problem(8, np.ones_like, np.sin, np.zeros_like, length=1.0)

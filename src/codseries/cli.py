@@ -6,6 +6,12 @@ explicit flags.  Exit codes: 0 success, 1 solver error, 2 divergence
 detected or max_terms reached with terms not shrinking, 3 bad arguments.
 Real input data (an imaginary part of exactly 0) is passed on as real
 arrays, so those series run in real arithmetic.
+
+Each subcommand's flags are the keys of one table that gives each key its
+default and its converter.  Every value set by the table, the config file
+or a flag is converted and checked before the run starts, so a malformed
+one exits 3 before any file is written, even where the run would not read
+it.
 """
 
 import argparse
@@ -42,11 +48,17 @@ class _Parser(argparse.ArgumentParser):
         self.exit(3, f"{self.prog}: error: {message}\n")
 
 
-def _as_float(params, key, positive=False):
+# converters: (key, text) -> checked value, or UsageError naming the key
+
+def _text(key, text):
+    return text
+
+
+def _real(key, text, positive=False):
     try:
-        value = float(params[key])
+        value = float(text)
     except (TypeError, ValueError):
-        raise UsageError(f"{key} must be a number, got {params[key]!r}")
+        raise UsageError(f"{key} must be a number, got {text!r}")
     if not math.isfinite(value):
         raise UsageError(f"{key} must be finite, got {value}")
     if positive and not value > 0:
@@ -54,24 +66,41 @@ def _as_float(params, key, positive=False):
     return value
 
 
-def _as_int(params, key, minimum=None):
-    try:
-        value = int(params[key])
-    except (TypeError, ValueError):
-        raise UsageError(f"{key} must be an integer, got {params[key]!r}")
-    if minimum is not None and value < minimum:
-        raise UsageError(f"{key} must be at least {minimum}, got {value}")
-    return value
+def _positive(key, text):
+    return _real(key, text, positive=True)
 
 
-def _as_complex(params, key):
+def _integer(minimum=None):
+    """Converter to an int, at least ``minimum`` when one is given."""
+    def convert(key, text):
+        try:
+            value = int(text)
+        except (TypeError, ValueError):
+            raise UsageError(f"{key} must be an integer, got {text!r}")
+        if minimum is not None and value < minimum:
+            raise UsageError(f"{key} must be at least {minimum}, got {value}")
+        return value
+    return convert
+
+
+def _complex(key, text):
     try:
-        value = complex(str(params[key]).replace(" ", ""))
+        value = complex(text.replace(" ", ""))
     except ValueError:
-        raise UsageError(f"{key} must be a complex number, got {params[key]!r}")
+        raise UsageError(f"{key} must be a complex number, got {text!r}")
     if not cmath.isfinite(value):
         raise UsageError(f"{key} must be finite, got {value}")
     return value
+
+
+def _one_of(*options, convert=_text):
+    """Converter that admits only ``options``, compared after ``convert``."""
+    def check(key, text):
+        value = convert(key, text)
+        if value not in options:
+            raise UsageError(f"{key} must be {' or '.join(map(str, options))}, got {value!r}")
+        return value
+    return check
 
 
 def _parse_config(path) -> dict:
@@ -91,18 +120,22 @@ def _parse_config(path) -> dict:
     return entries
 
 
-def _effective(ns, defaults: dict) -> dict:
-    params = dict(defaults)
+def _effective(ns, flags: dict) -> dict:
+    """Each key of the ``flags`` table from its default, the config file or
+    its flag, the last one set winning, run through the table's converter;
+    a key left at a ``None`` default stays ``None``."""
+    params = {key: default for key, (default, _) in flags.items()}
     if getattr(ns, "config", None):
         for key, value in _parse_config(ns.config).items():
-            if key not in defaults:
+            if key not in flags:
                 raise UsageError(f"unknown config key: {key}")
             params[key] = value
-    for key in defaults:
+    for key in flags:
         value = getattr(ns, key, None)
         if value is not None:
             params[key] = value
-    return params
+    return {key: None if value is None else flags[key][1](key, value)
+            for key, value in params.items()}
 
 
 def _real_if_exact(values) -> np.ndarray:
@@ -155,21 +188,16 @@ def _exit_code(run, policy: StopPolicy) -> int:
 
 # ---------------------------------------------------------------- oscillator
 
-_OSC_DEFAULTS = {
-    "omega_sq": "1", "from_csv": None, "t_max": "1.0", "step": "1e-3",
-    "a": "1", "b": "0", "t_a": "0", "t_b": None, "tol": "1e-10",
-    "max_terms": "40", "out_dir": ".",
+_OSC_FLAGS = {
+    "omega_sq": ("1", _text), "from_csv": (None, _text), "t_max": ("1.0", _positive),
+    "step": ("1e-3", _positive), "a": ("1", _complex), "b": ("0", _complex),
+    "t_a": ("0", _real), "t_b": (None, _real), "tol": ("1e-10", _positive),
+    "max_terms": ("40", _integer(1)), "out_dir": (".", _text),
 }
 
 
-def _cmd_oscillator(ns) -> int:
-    params = _effective(ns, _OSC_DEFAULTS)
-    tol = _as_float(params, "tol", positive=True)
-    max_terms = _as_int(params, "max_terms", minimum=1)
-    a = _as_complex(params, "a")
-    b = _as_complex(params, "b")
-    t_a = _as_float(params, "t_a")
-
+def _cmd_oscillator(params) -> int:
+    a, b, t_a = params["a"], params["b"], params["t_a"]
     if params["from_csv"]:
         sampled = _read_profile(params["from_csv"])
         grid = sampled.grid
@@ -178,13 +206,12 @@ def _cmd_oscillator(ns) -> int:
         omega_fn = lambda t: (np.interp(t, points, w2_values.real)
                               + 1j * np.interp(t, points, w2_values.imag))
     else:
-        step = _as_float(params, "step", positive=True)
-        t_max = _as_float(params, "t_max", positive=True)
-        grid = Grid.from_interval(0.0, t_max, round(t_max / step) + 1)
-        expr = parse_expression(str(params["omega_sq"]), ("t",))
+        t_max = params["t_max"]
+        grid = Grid.from_interval(0.0, t_max, round(t_max / params["step"]) + 1)
+        expr = parse_expression(params["omega_sq"], ("t",))
         w2_values = expr(t=grid.points())
         omega_fn = expr.unary("t")
-    t_b = t_a if params["t_b"] is None else _as_float(params, "t_b")
+    t_b = t_a if params["t_b"] is None else params["t_b"]
 
     try:
         problem = OscillatorProblem(GridFunction(grid, np.broadcast_to(w2_values, (grid.count,))),
@@ -192,7 +219,7 @@ def _cmd_oscillator(ns) -> int:
     except ValueError as exc:
         raise UsageError(str(exc))
     scheme = build_scheme(problem)
-    policy = StopPolicy(tol=tol, max_terms=max_terms)
+    policy = StopPolicy(tol=params["tol"], max_terms=params["max_terms"])
     run = run_cod(scheme, policy)
 
     # the RK4 oracle is an initial-value solver: both conditions at the grid start
@@ -225,20 +252,17 @@ def _cmd_oscillator(ns) -> int:
 
 # -------------------------------------------------------------- power series
 
-_POWER_DEFAULTS = {
-    "alpha": "1.0", "terms": "25", "t_max": "2.0", "points": "200", "out_dir": ".",
+_POWER_FLAGS = {
+    "alpha": ("1.0", _real), "terms": ("25", _integer(1)), "t_max": ("2.0", _positive),
+    "points": ("200", _integer(1)), "out_dir": (".", _text),
 }
 
 
-def _cmd_power_series(ns) -> int:
-    params = _effective(ns, _POWER_DEFAULTS)
-    alpha = _as_float(params, "alpha")
+def _cmd_power_series(params) -> int:
+    alpha, t_max, points = params["alpha"], params["t_max"], params["points"]
     if alpha <= -1:
         raise UsageError(f"alpha must exceed -1, got {alpha}")
-    terms = _as_int(params, "terms", minimum=1)
-    t_max = _as_float(params, "t_max", positive=True)
-    points = _as_int(params, "points", minimum=1)
-    series = power_series_solution(alpha, terms)
+    series = power_series_solution(alpha, params["terms"])
     with open(_out_path(params, "power_series.csv"), "w", encoding="ascii") as fh:
         fh.write("t,f,upper_estimate,below_upper\n")
         for i in range(1, points + 1):
@@ -251,29 +275,23 @@ def _cmd_power_series(ns) -> int:
 
 # ------------------------------------------------------------- exp potential
 
-_EXP_DEFAULTS = {
-    "m": "1.0", "amplitude": "1.0", "c1": "1", "c2": "0",
-    "x_min": "-5.0", "x_max": "1.0", "step": "1e-3", "terms": "30", "out_dir": ".",
+_EXP_FLAGS = {
+    "m": ("1.0", _real), "amplitude": ("1.0", _real), "c1": ("1", _complex),
+    "c2": ("0", _complex), "x_min": ("-5.0", _real), "x_max": ("1.0", _real),
+    "step": ("1e-3", _positive), "terms": ("30", _integer(1)), "out_dir": (".", _text),
 }
 
 
-def _cmd_exp_potential(ns) -> int:
-    params = _effective(ns, _EXP_DEFAULTS)
-    m = _as_float(params, "m")
-    amplitude = _as_float(params, "amplitude")
-    x_min = _as_float(params, "x_min")
-    x_max = _as_float(params, "x_max")
+def _cmd_exp_potential(params) -> int:
+    m, amplitude, x_min, x_max = params["m"], params["amplitude"], params["x_min"], params["x_max"]
     if x_max <= x_min:
         raise UsageError("x_max must exceed x_min")
-    step = _as_float(params, "step", positive=True)
-    terms = _as_int(params, "terms", minimum=1)
-    problem = ExpPotentialProblem(m, amplitude, _as_complex(params, "c1"),
-                                  _as_complex(params, "c2"))
+    problem = ExpPotentialProblem(m, amplitude, params["c1"], params["c2"])
     if m == 0:
         raise UsageError("m must be nonzero")
-    grid = Grid.from_interval(x_min, x_max, round((x_max - x_min) / step) + 1)
+    grid = Grid.from_interval(x_min, x_max, round((x_max - x_min) / params["step"]) + 1)
     x = grid.points()
-    psi = general_solution(problem, terms)(x)
+    psi = general_solution(problem, params["terms"])(x)
     residual = np.abs(second_diff(psi, grid.step) + (m * m - amplitude * np.exp(x)) * psi)
     with open(_out_path(params, "exp_potential.csv"), "w", encoding="ascii") as fh:
         fh.write("x,psi_re,psi_im,residual_abs\n")
@@ -283,30 +301,18 @@ def _cmd_exp_potential(ns) -> int:
 
 # ---------------------------------------------------------------- stationary
 
-_STATIONARY_DEFAULTS = {
-    "dims": "1", "size": "64", "box": "6.283185307179586", "potential": "0",
-    "from_csv": None, "energy": "-0.5", "variant": "laplace", "psi_g_const": None,
-    "source": "none", "tol": "1e-10", "max_terms": "200", "out_dir": ".",
+_STATIONARY_FLAGS = {
+    "dims": ("1", _one_of(1, 2, convert=_integer())), "size": ("64", _integer()),
+    "box": ("6.283185307179586", _positive), "potential": ("0", _text),
+    "from_csv": (None, _text), "energy": ("-0.5", _real),
+    "variant": ("laplace", _one_of("laplace", "resolvent")),
+    "psi_g_const": (None, _complex), "source": ("none", _one_of("none", "delta")),
+    "tol": ("1e-10", _positive), "max_terms": ("200", _integer(1)), "out_dir": (".", _text),
 }
 
 
-def _cmd_stationary(ns) -> int:
-    params = _effective(ns, _STATIONARY_DEFAULTS)
-    dims = _as_int(params, "dims", minimum=1)
-    if dims not in (1, 2):
-        raise UsageError("dims must be 1 or 2")
-    size = _as_int(params, "size")
-    box = _as_float(params, "box", positive=True)
-    energy = _as_float(params, "energy")
-    variant = str(params["variant"])
-    if variant not in ("laplace", "resolvent"):
-        raise UsageError(f"variant must be laplace or resolvent, got {variant!r}")
-    tol = _as_float(params, "tol", positive=True)
-    max_terms = _as_int(params, "max_terms", minimum=1)
-    source_kind = str(params["source"])
-    if source_kind not in ("none", "delta"):
-        raise UsageError(f"source must be none or delta, got {source_kind!r}")
-
+def _cmd_stationary(params) -> int:
+    dims, size, box, variant = params["dims"], params["size"], params["box"], params["variant"]
     if params["from_csv"]:
         if dims != 1:
             raise UsageError("from_csv potentials are 1D only")
@@ -321,19 +327,20 @@ def _cmd_stationary(ns) -> int:
         raise UsageError(f"size must be even and >= 4, got {size}")
     axes = (Grid.periodic(0.0, box, size),) * dims
     if not params["from_csv"]:
-        expr = parse_expression(str(params["potential"]), ("x", "y")[:dims])
+        expr = parse_expression(params["potential"], ("x", "y")[:dims])
         points = np.meshgrid(*(g.points() for g in axes), indexing="ij")
         u_values = expr(**dict(zip("xy", points)))
 
     shape = (size,) * dims
     potential = GridFunction(axes, np.broadcast_to(u_values, shape))
-    default_const = "1" if variant == "laplace" else "0"
-    const = _as_complex({"psi_g_const": params["psi_g_const"] or default_const}, "psi_g_const")
+    const = params["psi_g_const"]
+    if const is None:
+        const = 1.0 if variant == "laplace" else 0.0
     psi_g = GridFunction(axes, np.full(shape, _real_if_exact(const)))
 
-    scheme = build_stationary_scheme(potential, energy, psi_g, variant)
-    policy = StopPolicy(tol=tol, max_terms=max_terms)
-    if source_kind == "delta":
+    scheme = build_stationary_scheme(potential, params["energy"], psi_g, variant)
+    policy = StopPolicy(tol=params["tol"], max_terms=params["max_terms"])
+    if params["source"] == "delta":
         source_values = np.zeros(shape)
         source_values[(0,) * dims] = 1.0
         source = GridFunction(axes, source_values)
@@ -353,29 +360,20 @@ def _cmd_stationary(ns) -> int:
 
 # ---------------------------------------------------------------------- tdse
 
-_TDSE_DEFAULTS = {
-    "size": "64", "box": "20.0", "potential": "0", "vector_potential": "0",
-    "x0": "0", "sigma": "1.0", "k0": "0", "dt": "1e-2", "t_final": "1.0",
-    "terms": "4", "nodes": None, "out_dir": ".",
+_TDSE_FLAGS = {
+    "size": ("64", _integer(4)), "box": ("20.0", _positive), "potential": ("0", _text),
+    "vector_potential": ("0", _text), "x0": ("0", _real), "sigma": ("1.0", _positive),
+    "k0": ("0", _real), "dt": ("1e-2", _positive), "t_final": ("1.0", _positive),
+    "terms": ("4", _integer(1)), "nodes": (None, _integer(2)), "out_dir": (".", _text),
 }
 
 
-def _cmd_tdse(ns) -> int:
-    params = _effective(ns, _TDSE_DEFAULTS)
-    size = _as_int(params, "size", minimum=4)
-    box = _as_float(params, "box", positive=True)
-    dt = _as_float(params, "dt", positive=True)
-    t_final = _as_float(params, "t_final", positive=True)
-    terms = _as_int(params, "terms", minimum=1)
-    nodes = None if params["nodes"] is None else _as_int(params, "nodes", minimum=2)
-    x0 = _as_float(params, "x0")
-    sigma = _as_float(params, "sigma", positive=True)
-    k0 = _as_float(params, "k0")
-
-    grid = Grid.periodic(-box / 2.0, box, size)
+def _cmd_tdse(params) -> int:
+    box, sigma = params["box"], params["sigma"]
+    grid = Grid.periodic(-box / 2.0, box, params["size"])
     x = grid.points()
-    u_expr = parse_expression(str(params["potential"]), ("x", "t"))
-    a_expr = parse_expression(str(params["vector_potential"]), ("t",))
+    u_expr = parse_expression(params["potential"], ("x", "t"))
+    a_expr = parse_expression(params["vector_potential"], ("t",))
     # a profile without t is sampled once here rather than at every sub-node
     if "t" in u_expr.variables:
         potential = lambda xv, t: np.broadcast_to(np.asarray(u_expr(x=xv, t=t), float), xv.shape)
@@ -385,16 +383,17 @@ def _cmd_tdse(ns) -> int:
         vector_potential = lambda t: float(a_expr(t=t))
     else:
         vector_potential = float(a_expr())
-    packet = np.exp(-((x - x0) ** 2) / (2.0 * sigma ** 2) + 1j * k0 * x)
+    packet = np.exp(-((x - params["x0"]) ** 2) / (2.0 * sigma ** 2) + 1j * params["k0"] * x)
     psi0 = normalize(GridFunction(grid, packet))
     try:
         setup = TdseSetup(grid, potential, vector_potential, psi0)
     except ValueError as exc:
         raise UsageError(str(exc))
-    step = PropagatorStep(dt=dt, n_terms=terms, quadrature_nodes=nodes)
+    step = PropagatorStep(dt=params["dt"], n_terms=params["terms"],
+                          quadrature_nodes=params["nodes"])
 
     try:
-        final, report = propagate(setup, step, t_final)
+        final, report = propagate(setup, step, params["t_final"])
     except NonFiniteDataError as exc:
         raise UsageError(str(exc))
     for warning in report.warnings:
@@ -408,24 +407,23 @@ def _cmd_tdse(ns) -> int:
 
 # ---------------------------------------------------------------------- wave
 
-_WAVE_DEFAULTS = {
-    "epsilon": "1", "from_csv": None, "s_init": "sin(x)", "r_init": "0",
-    "x_size": "64", "box": "6.283185307179586", "t_max": "1.0", "t_size": "201",
-    "tol": "1e-10", "max_terms": "40", "snapshot": None, "out_dir": ".",
+_WAVE_FLAGS = {
+    "epsilon": ("1", _text), "from_csv": (None, _text), "s_init": ("sin(x)", _text),
+    "r_init": ("0", _text), "x_size": ("64", _integer(4)),
+    "box": ("6.283185307179586", _positive), "t_max": ("1.0", _positive),
+    "t_size": ("201", _integer(2)), "tol": ("1e-10", _positive),
+    "max_terms": ("40", _integer(1)), "snapshot": (None, _real), "out_dir": (".", _text),
 }
 
 
-def _cmd_wave(ns) -> int:
-    params = _effective(ns, _WAVE_DEFAULTS)
-    x_size = _as_int(params, "x_size", minimum=4)
-    box = _as_float(params, "box", positive=True)
-    t_max = _as_float(params, "t_max", positive=True)
-    t_size = _as_int(params, "t_size", minimum=2)
-    tol = _as_float(params, "tol", positive=True)
-    max_terms = _as_int(params, "max_terms", minimum=1)
-
-    x_grid = Grid.periodic(0.0, box, x_size)
-    t_grid = Grid.from_interval(0.0, t_max, t_size)
+def _cmd_wave(params) -> int:
+    x_size = params["x_size"]
+    x_grid = Grid.periodic(0.0, params["box"], x_size)
+    t_grid = Grid.from_interval(0.0, params["t_max"], params["t_size"])
+    try:
+        snapshot_row = None if params["snapshot"] is None else t_grid.index_of(params["snapshot"])
+    except ValueError as exc:
+        raise UsageError(str(exc))
     x = x_grid.points()
     if params["from_csv"]:
         sampled = _read_profile(params["from_csv"])
@@ -436,10 +434,9 @@ def _cmd_wave(ns) -> int:
                              f"start 0, step {x_grid.step:.17g}, {x_size} rows")
         eps_values = sampled.values
     else:
-        eps_values = np.broadcast_to(parse_expression(str(params["epsilon"]), ("x",))(x=x),
-                                     (x_size,))
-    s_values = np.broadcast_to(parse_expression(str(params["s_init"]), ("x",))(x=x), (x_size,))
-    r_values = np.broadcast_to(parse_expression(str(params["r_init"]), ("x",))(x=x), (x_size,))
+        eps_values = np.broadcast_to(parse_expression(params["epsilon"], ("x",))(x=x), (x_size,))
+    s_values = np.broadcast_to(parse_expression(params["s_init"], ("x",))(x=x), (x_size,))
+    r_values = np.broadcast_to(parse_expression(params["r_init"], ("x",))(x=x), (x_size,))
     try:
         problem = WaveProblem(GridFunction(x_grid, eps_values),
                               GridFunction(x_grid, s_values),
@@ -447,7 +444,7 @@ def _cmd_wave(ns) -> int:
         scheme = build_wave_scheme(problem, x_grid, t_grid)
     except ValueError as exc:
         raise UsageError(str(exc))
-    policy = StopPolicy(tol=tol, max_terms=max_terms)
+    policy = StopPolicy(tol=params["tol"], max_terms=params["max_terms"])
     run = run_cod(scheme, policy)
     field = run.partial_sum
     if run.stop_reason == DIVERGENCE_DETECTED:
@@ -457,13 +454,9 @@ def _cmd_wave(ns) -> int:
     write_wave_csv(field, _out_path(params, "wave_field.csv"),
                    _out_path(params, "wave_field.json"))
     _write_report(_out_path(params, "wave_report.json"), convergence_report(scheme, run))
-    if params["snapshot"] is not None:
-        t_snap = _as_float(params, "snapshot")
-        try:
-            row = field.values[t_grid.index_of(t_snap)]
-        except ValueError as exc:
-            raise UsageError(str(exc))
-        write_csv(GridFunction(x_grid, row), _out_path(params, "wave_snapshot.csv"))
+    if snapshot_row is not None:
+        write_csv(GridFunction(x_grid, field.values[snapshot_row]),
+                  _out_path(params, "wave_snapshot.csv"))
     return _exit_code(run, policy)
 
 
@@ -482,29 +475,30 @@ def _cmd_verify(ns) -> int:
 
 # ------------------------------------------------------------------- parsing
 
-def _add_command(commands, name, help, defaults, handler):
-    """Subcommand with one ``--key-name`` flag per key of ``defaults``."""
+def _add_command(commands, name, help, flags, handler):
+    """Subcommand with one ``--key-name`` flag per key of the ``flags``
+    table; ``handler`` gets the checked values of every key."""
     p = commands.add_parser(name, help=help)
-    for key in defaults:
+    for key in flags:
         p.add_argument("--" + key.replace("_", "-"), dest=key)
     p.add_argument("--config", help="key=value config file; flags override it")
-    p.set_defaults(handler=handler)
+    p.set_defaults(handler=lambda ns: handler(_effective(ns, flags)))
 
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="cod", description=__doc__.splitlines()[0])
     commands = parser.add_subparsers(dest="command", required=True)
     _add_command(commands, "oscillator", "variable-frequency oscillator series",
-                 _OSC_DEFAULTS, _cmd_oscillator)
+                 _OSC_FLAGS, _cmd_oscillator)
     _add_command(commands, "power-series", "monomial series for w2 = -t^alpha",
-                 _POWER_DEFAULTS, _cmd_power_series)
+                 _POWER_FLAGS, _cmd_power_series)
     _add_command(commands, "exp-potential", "exponential-potential product series",
-                 _EXP_DEFAULTS, _cmd_exp_potential)
+                 _EXP_FLAGS, _cmd_exp_potential)
     _add_command(commands, "stationary", "periodic stationary problem",
-                 _STATIONARY_DEFAULTS, _cmd_stationary)
+                 _STATIONARY_FLAGS, _cmd_stationary)
     _add_command(commands, "tdse", "time-dependent short-step propagation",
-                 _TDSE_DEFAULTS, _cmd_tdse)
-    _add_command(commands, "wave", "dispersive wave equation", _WAVE_DEFAULTS, _cmd_wave)
+                 _TDSE_FLAGS, _cmd_tdse)
+    _add_command(commands, "wave", "dispersive wave equation", _WAVE_FLAGS, _cmd_wave)
 
     p = commands.add_parser("verify", help="run the acceptance table")
     p.add_argument("--quick", action="store_true", help="reduced-resolution variant")

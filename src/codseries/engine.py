@@ -61,10 +61,6 @@ class SeriesBlowUpError(RuntimeError):
 _ENDED_BELOW = 64.0 * float(np.finfo(float).eps)
 
 
-def _sup(value) -> float:
-    return float(np.max(np.abs(value.values)))
-
-
 @dataclass
 class StopPolicy:
     """Termination policy for a series run.
@@ -127,7 +123,7 @@ class CodScheme:
         self.cycle_map = lambda f: g_inverse(v_op(f))
         self.defect_op = g_minus_v
         if self.gen_tol is not None:
-            residual = _sup(g_op(self.generating))
+            residual = g_op(self.generating).sup_norm()
             if residual > self.gen_tol:
                 raise ValueError(
                     "generating function is not annihilated by the invertible part: "
@@ -153,15 +149,13 @@ class SeriesRun:
 def _iterate(scheme: CodScheme, seed, policy: StopPolicy) -> SeriesRun:
     term = seed
     total = seed.with_values(seed.values.copy())
-    norms_hist = [_sup(seed)]
-    last = seed
-    used = 0
+    norms_hist = [seed.sup_norm()]
     small_streak = 0
     reason = MAX_TERMS
     window = policy.divergence_window
-    for n in range(1, 2 * policy.max_terms + window + 4):
+    for n in range(1, policy.max_terms + 1):
         cand = scheme.cycle_map(term)
-        cn = _sup(cand)
+        cn = cand.sup_norm()
         if not math.isfinite(cn):
             raise SeriesBlowUpError(f"series blow-up at term {n}")
         if cn <= _ENDED_BELOW * norms_hist[-1]:
@@ -173,10 +167,8 @@ def _iterate(scheme: CodScheme, seed, policy: StopPolicy) -> SeriesRun:
             total = total.with_values(total.values.astype(complex))
         total.values += cand.values
         norms_hist.append(cn)
-        used += 1
-        last = cand
         term = cand
-        if cn <= policy.tol * (1.0 + _sup(total)):
+        if cn <= policy.tol * (1.0 + total.sup_norm()):
             small_streak += 1
             if small_streak >= 2:
                 reason = CONVERGED
@@ -189,14 +181,11 @@ def _iterate(scheme: CodScheme, seed, policy: StopPolicy) -> SeriesRun:
             if growing and recent[-1] >= policy.divergence_factor * recent[0]:
                 reason = DIVERGENCE_DETECTED
                 break
-        if used >= policy.max_terms:
-            reason = MAX_TERMS
-            break
     return SeriesRun(
         partial_sum=total,
-        last_term=last,
+        last_term=term,
         term_sup_norms=norms_hist,
-        terms_used=used,
+        terms_used=len(norms_hist) - 1,
         stop_reason=reason,
     )
 
@@ -238,5 +227,5 @@ def convergence_report(scheme: CodScheme, run: SeriesRun, source=None) -> dict:
         "terms_used": run.terms_used,
         "stop_reason": run.stop_reason,
         "term_sup_norms": [float(v) for v in run.term_sup_norms],
-        "defect_sup_norm": _sup(defect(scheme, run, source=source)),
+        "defect_sup_norm": defect(scheme, run, source=source).sup_norm(),
     }

@@ -54,8 +54,7 @@ class OscillatorProblem:
         self.omega_sq.grid.index_of(self.t_b)
 
 
-def build_scheme(problem: OscillatorProblem, gen_tol: float | None = None,
-                 label: str = "oscillator") -> CodScheme:
+def build_scheme(problem: OscillatorProblem) -> CodScheme:
     """Wire an oscillator problem into a scheme for the series engine.
 
     G = d^2/dt^2, G^-1 = outer_integral(inner_integral(., from t_b), from t_a)
@@ -66,9 +65,7 @@ def build_scheme(problem: OscillatorProblem, gen_tol: float | None = None,
     minus_w2 = -problem.omega_sq.values
     t = grid.points()
     generating = GridFunction(grid, problem.a + problem.b * (t - problem.t_a))
-    if gen_tol is None:
-        sup = generating.sup_norm()
-        gen_tol = 1e-8 * (1.0 + sup) + second_diff_roundoff(sup, grid.step)
+    sup = generating.sup_norm()
 
     def g_op(f: GridFunction) -> GridFunction:
         return f.with_values(second_diff(f.values, grid.step))
@@ -81,8 +78,8 @@ def build_scheme(problem: OscillatorProblem, gen_tol: float | None = None,
         g_op=g_op,
         g_inverse=g_inverse,
         v_op=lambda f: f.with_values(minus_w2 * f.values),
-        label=label,
-        gen_tol=gen_tol,
+        label="oscillator",
+        gen_tol=1e-8 * (1.0 + sup) + second_diff_roundoff(sup, grid.step),
     )
 
 

@@ -61,7 +61,7 @@ def _apply(f: GridFunction, multiplier, op=np.multiply) -> GridFunction:
 
 
 def build_scheme(potential: GridFunction, energy: float, psi_g: GridFunction,
-                 variant: str, gen_tol: float | None = None) -> CodScheme:
+                 variant: str) -> CodScheme:
     """Scheme for Laplacian(psi) + 2(E - U) psi = 0 in the chosen variant.
 
     The fields live on one periodic box (axes from :meth:`Grid.periodic`),
@@ -81,8 +81,6 @@ def build_scheme(potential: GridFunction, energy: float, psi_g: GridFunction,
     if len(axes) == 2 and axes[0] != axes[1]:
         raise ValueError("2D boxes must be square (same grid on both axes)")
     u = potential.values
-    if gen_tol is None:
-        gen_tol = 1e-9 * (1.0 + psi_g.sup_norm())
     ksq = _ksq(axes)
     minus_ksq = -ksq
 
@@ -108,7 +106,7 @@ def build_scheme(potential: GridFunction, energy: float, psi_g: GridFunction,
         g_inverse=lambda f: _apply(f, denom, np.divide),
         v_op=lambda f: f.with_values(v_factor * f.values),
         label=f"stationary-{variant}",
-        gen_tol=gen_tol,
+        gen_tol=1e-9 * (1.0 + psi_g.sup_norm()),
     )
 
 

@@ -64,8 +64,7 @@ class WaveProblem:
             raise ValueError("permittivity must be strictly positive everywhere")
 
 
-def build_wave_scheme(problem: WaveProblem, x_grid: Grid, t_grid: Grid,
-                      gen_tol: float | None = None) -> CodScheme:
+def build_wave_scheme(problem: WaveProblem, x_grid: Grid, t_grid: Grid) -> CodScheme:
     """Wire a wave problem into a scheme over space-time fields.
 
     The fields are GridFunctions on ``(t_grid, x_grid)``; the x grid is read
@@ -107,17 +106,14 @@ def build_wave_scheme(problem: WaveProblem, x_grid: Grid, t_grid: Grid,
         (t_grid, x_grid),
         problem.S.values[None, :] + t_col * (inv_eps * problem.R.values)[None, :],
     )
-    if gen_tol is None:
-        sup = generating.sup_norm()
-        gen_tol = 1e-8 * (1.0 + sup) + second_diff_roundoff(float(np.max(eps)) * sup, dt)
-
+    sup = generating.sup_norm()
     return CodScheme(
         generating=generating,
         g_op=g_op,
         g_inverse=g_inverse,
         v_op=v_op,
         label="wave-dispersive",
-        gen_tol=gen_tol,
+        gen_tol=1e-8 * (1.0 + sup) + second_diff_roundoff(float(np.max(eps)) * sup, dt),
     )
 
 

@@ -95,25 +95,55 @@ class TestOscillatorCommand:
         assert run(["oscillator", "--config", str(config)]) == 3
 
 
-SUBCOMMAND_DEFAULTS = {
-    "oscillator": cli._OSC_DEFAULTS,
-    "power-series": cli._POWER_DEFAULTS,
-    "exp-potential": cli._EXP_DEFAULTS,
-    "stationary": cli._STATIONARY_DEFAULTS,
-    "tdse": cli._TDSE_DEFAULTS,
-    "wave": cli._WAVE_DEFAULTS,
+SUBCOMMAND_FLAGS = {
+    "oscillator": cli._OSC_FLAGS,
+    "power-series": cli._POWER_FLAGS,
+    "exp-potential": cli._EXP_FLAGS,
+    "stationary": cli._STATIONARY_FLAGS,
+    "tdse": cli._TDSE_FLAGS,
+    "wave": cli._WAVE_FLAGS,
 }
 
 
+NUMERIC_KEYS = [(command, key) for command, flags in sorted(SUBCOMMAND_FLAGS.items())
+                for key, (_, convert) in flags.items() if convert is not cli._text]
+
+
 class TestArgumentErrors:
+    @pytest.mark.parametrize("command", sorted(SUBCOMMAND_FLAGS))
+    def test_every_default_passes_its_converter(self, command):
+        for key, (default, convert) in SUBCOMMAND_FLAGS[command].items():
+            if default is not None:
+                convert(key, default)
+
+    @pytest.mark.parametrize("value", ["abc", "nan"])
+    @pytest.mark.parametrize("command, key", NUMERIC_KEYS)
+    def test_malformed_value_exits_3_before_any_file(self, tmp_path, capsys, command, key,
+                                                     value):
+        # wave --snapshot abc once exited 3 only after writing three files
+        code = run([command, "--" + key.replace("_", "-"), value,
+                    "--out-dir", str(tmp_path / "out")])
+        assert code == 3
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_flags_a_csv_run_ignores_are_still_checked(self, tmp_path):
+        # --step and --t-max are unused beside --from-csv; this once exited 0
+        grid = Grid.from_interval(0.0, 1.0, 11)
+        write_csv(GridFunction(grid, np.ones(11)), tmp_path / "w2.csv")
+        for flag, value in (("--step", "abc"), ("--t-max", "-3")):
+            assert run(["oscillator", "--from-csv", str(tmp_path / "w2.csv"), flag, value,
+                        "--out-dir", str(tmp_path / "out")]) == 3
+        assert not (tmp_path / "out").exists()
+
     def test_unknown_flag(self):
         assert run(["oscillator", "--frequency", "1"]) == 3
 
-    @pytest.mark.parametrize("command", sorted(SUBCOMMAND_DEFAULTS))
+    @pytest.mark.parametrize("command", sorted(SUBCOMMAND_FLAGS))
     def test_flags_are_the_defaults_keys(self, command):
         parsed = vars(cli._build_parser().parse_args([command]))
         dests = set(parsed) - {"command", "handler"}
-        assert dests == set(SUBCOMMAND_DEFAULTS[command]) | {"config"}
+        assert dests == set(SUBCOMMAND_FLAGS[command]) | {"config"}
         assert run([command, "--frequency", "1"]) == 3
 
     def test_unknown_command(self):
@@ -425,9 +455,12 @@ class TestWaveCommand:
         assert code == 2
         assert "shorten the time window" in capsys.readouterr().err
 
-    def test_snapshot_must_be_on_grid(self, tmp_path):
+    def test_snapshot_must_be_on_grid(self, tmp_path, capsys):
+        # the snapshot time was once resolved after the field and report were written
         assert run(["wave", "--x-size", "16", "--t-size", "101",
                     "--snapshot", "0.5001", "--out-dir", str(tmp_path)]) == 3
+        assert "limit not on grid" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
 
     def test_from_csv_on_the_box_grid(self, tmp_path):
         x_grid = Grid.periodic(0.0, 2.0 * np.pi, 16)

@@ -383,14 +383,20 @@ def _cmd_tdse(params) -> int:
         vector_potential = lambda t: float(a_expr(t=t))
     else:
         vector_potential = float(a_expr())
-    packet = np.exp(-((x - params["x0"]) ** 2) / (2.0 * sigma ** 2) + 1j * params["k0"] * x)
-    psi0 = normalize(GridFunction(grid, packet))
-    try:
-        setup = TdseSetup(grid, potential, vector_potential, psi0)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    x0, k0 = params["x0"], params["k0"]
+    with np.errstate(all="ignore"):
+        packet = GridFunction(grid, np.exp(-((x - x0) ** 2) / (2.0 * sigma ** 2) + 1j * k0 * x))
+        norm = packet.l2_norm()
+    if not (np.isfinite(packet.values).all() and norm > 0.0):
+        raise UsageError(f"--x0 {x0:g}, --sigma {sigma:g} and --k0 {k0:g} give a wave packet "
+                         "that is not finite and nonzero on the grid")
     step = PropagatorStep(dt=params["dt"], n_terms=params["terms"],
                           quadrature_nodes=params["nodes"])
+    try:
+        setup = TdseSetup(grid, potential, vector_potential, normalize(packet))
+        step.steps_to(params["t_final"])
+    except ValueError as exc:
+        raise UsageError(str(exc))
 
     try:
         final, report = propagate(setup, step, params["t_final"])

@@ -10,16 +10,23 @@ No time ordering is introduced: for a time-independent Hamiltonian the
 N-term step is exactly the degree-N Taylor polynomial of the evolution
 operator, which pins the per-step accuracy at order N+1.
 
-A step takes one of two paths, chosen from the form of the data.  With U
+A step takes one of three paths, chosen from the form of the data.  With U
 an array, A a number and nodes >= n_terms, the iterated integrals have the
-closed form term_n = (-i dt / n) H term_{n-1}, and the step runs that
-recurrence on the state.  Every other setup (a callable U or A, or fewer
-sub-nodes than terms) carries each term on Chebyshev-Lobatto sub-nodes
-inside the step and evaluates the in-step cumulative integrals with a
-polynomial collocation rule.  The rule integrates polynomial integrands of
-degree < nodes exactly, so with nodes >= n_terms both paths give the
-Taylor polynomial to round-off (a trapezoid rule on the sub-nodes would
-cap every step at second order regardless of the term count).
+closed form term_n = (-i dt / n) H term_{n-1}, so the step is one fixed
+matrix, the degree-N Taylor polynomial P of the evolution operator.  A
+:func:`propagate` run on at most 256 grid points that takes at least as
+many steps as there are points assembles D = P - I once and steps as
+psi + D @ psi, one matvec; other such steps run the recurrence on the
+state, 2N FFT calls.  At 256 points the per-call overhead of those FFTs
+makes a step cost about 4x the matvec and the assembly about 50-80 steps;
+at 768 points the matvec is the slower one.  Every other setup (a callable
+U or A, or fewer sub-nodes than terms) carries each term on
+Chebyshev-Lobatto sub-nodes inside the step and evaluates the in-step
+cumulative integrals with a polynomial collocation rule.  The rule
+integrates polynomial integrands of degree < nodes exactly, so with nodes
+>= n_terms all three paths give the Taylor polynomial to round-off (a
+trapezoid rule on the sub-nodes would cap every step at second order
+regardless of the term count).
 
 The Hamiltonian 0.5*(i d/dx + A(t))^2 + U(x, t) is applied spectrally on a
 periodic grid; the vector potential is spatially uniform so the kinetic
@@ -33,6 +40,13 @@ import numpy as np
 import numpy.polynomial.chebyshev as ncheb
 
 from .grids import Grid, GridFunction, wavenumbers
+
+# Largest grid on which a long Taylor-form run assembles D = P - I; the
+# n x n matvec grows like n^2 and, on one BLAS thread, costs as much as the
+# FFT step near 512 points.
+_MATRIX_MAX_SIZE = 256
+# Complex values per block of identity rows while D is assembled.
+_BLOCK_VALUES = 1 << 13
 
 __all__ = [
     "NonFiniteDataError",
@@ -75,7 +89,9 @@ class TdseSetup:
     and ``k`` hold the grid points and wavenumbers; ``kinetic`` holds
     0.5*(k - A)^2 for a number A and is None for a callable one;
     ``spectral_radius`` is the crude bound max_k 0.5*(|k|+|A|)^2 + max|U|
-    at t = 0 that :func:`propagate` checks dt against.
+    at t = 0 that :func:`propagate` checks dt against.  ``_step_matrix``
+    holds ((dt, n_terms), D) once :func:`propagate` has assembled the Taylor
+    step's D = P - I for that step, else None; one matrix at a time.
     """
 
     grid: Grid
@@ -86,12 +102,14 @@ class TdseSetup:
     k: np.ndarray = field(init=False, repr=False, compare=False)
     kinetic: Optional[np.ndarray] = field(init=False, repr=False, compare=False)
     spectral_radius: float = field(init=False, repr=False, compare=False)
+    _step_matrix: Optional[tuple] = field(default=None, init=False, repr=False,
+                                          compare=False)
 
     def __post_init__(self):
         if self.psi0.grid != self.grid:
             raise ValueError("psi0 lives on a different grid")
         drift = abs(self.psi0.l2_norm() - 1.0)
-        if drift > 1e-12:
+        if not drift <= 1e-12:
             raise ValueError(f"psi0 must be L2-normalized to 1, off by {drift:g}")
         if not callable(self.potential):
             u = np.asarray(self.potential)
@@ -146,6 +164,15 @@ class PropagatorStep:
         if self.quadrature_nodes is not None:
             return self.quadrature_nodes
         return max(2, self.n_terms + 1)
+
+    def steps_to(self, t_final: float) -> int:
+        """The step count to t_final, or ValueError when t_final is not a
+        positive multiple of dt."""
+        ratio = t_final / self.dt
+        n_steps = round(ratio)
+        if n_steps < 1 or abs(ratio - n_steps) > 1e-9 * max(1.0, abs(ratio)):
+            raise ValueError("t_final must be a positive multiple of dt")
+        return n_steps
 
     def integration_rule(self):
         """Sub-node offsets in [0, dt] and the cumulative integration matrix.
@@ -208,18 +235,63 @@ def hamiltonian_apply(setup: TdseSetup, psi: GridFunction, t: float) -> GridFunc
     return psi.with_values(kinetic + u[0] * psi.values)
 
 
+def _taylor_form(setup: TdseSetup, step: PropagatorStep) -> bool:
+    """Whether the step is the Taylor recurrence: array U, number A and
+    nodes >= n_terms."""
+    return (not callable(setup.potential) and setup.kinetic is not None
+            and step.nodes >= step.n_terms)
+
+
+def _add_taylor_terms(setup: TdseSetup, step: PropagatorStep, term: np.ndarray,
+                      total: np.ndarray) -> np.ndarray:
+    """Add term_1 .. term_N of term_n = (-i dt / n) H term_{n-1} to total.
+
+    ``term`` is term_0, complex; the recurrence runs along its last axis, so
+    each row of a 2D stack is a state of its own.
+    """
+    for n in range(1, step.n_terms + 1):
+        term = (-1j * step.dt / n) * (np.fft.ifft(setup.kinetic * np.fft.fft(term))
+                                      + setup.potential * term)
+        total += term
+    return total
+
+
+def _assemble_step_matrix(setup: TdseSetup, step: PropagatorStep) -> np.ndarray:
+    """D = P - I for the Taylor step P, a block of identity rows at a time.
+
+    Row j of a block is e_j, so the recurrence turns it into column j of
+    P - I; a block holds about _BLOCK_VALUES values, which bounds the
+    temporaries of the build to a few times that.
+    """
+    n = setup.x.size
+    block = max(1, _BLOCK_VALUES // n)
+    matrix = np.empty((n, n), dtype=complex)
+    for start in range(0, n, block):
+        stop = min(start + block, n)
+        rows = np.zeros((stop - start, n), dtype=complex)
+        rows[np.arange(stop - start), np.arange(start, stop)] = 1.0
+        matrix[:, start:stop] = _add_taylor_terms(setup, step, rows, np.zeros_like(rows)).T
+    return matrix
+
+
 def cod_step(setup: TdseSetup, step: PropagatorStep, psi: GridFunction,
              t: float) -> GridFunction:
-    """Advance psi from t to t + dt with the n_terms-term series."""
-    if callable(setup.potential) or setup.kinetic is None or step.nodes < step.n_terms:
-        total = _sub_node_step(setup, step, psi, t)
-    else:
-        term = psi.values.astype(complex)
-        total = term.copy()
-        for n in range(1, step.n_terms + 1):
-            term = (-1j * step.dt / n) * (np.fft.ifft(setup.kinetic * np.fft.fft(term))
-                                          + setup.potential * term)
-            total += term
+    """Advance psi from t to t + dt with the n_terms-term series.
+
+    Uses the setup's assembled D = P - I when it was built for this dt and
+    n_terms.  A step that overflows raises ValueError, without numpy
+    floating-point warnings.
+    """
+    with np.errstate(all="ignore"):
+        if not _taylor_form(setup, step):
+            total = _sub_node_step(setup, step, psi, t)
+        elif (setup._step_matrix is not None
+              and setup._step_matrix[0] == (step.dt, step.n_terms)):
+            total = setup._step_matrix[1] @ psi.values
+            total += psi.values
+        else:
+            term = psi.values.astype(complex)
+            total = _add_taylor_terms(setup, step, term, term.copy())
     if not np.isfinite(total).all():
         raise ValueError("non-finite values in propagation step")
     return psi.with_values(total)
@@ -257,14 +329,15 @@ def propagate(setup: TdseSetup, step: PropagatorStep,
               t_final: float) -> tuple[GridFunction, PropagationReport]:
     """Iterate :func:`cod_step` to t_final (a positive multiple of dt).
 
-    The truncated series is not unitary; the report records the norm drift
-    |norm - 1| per step and the run aborts once it exceeds 0.1.
+    Taylor-form data on at most _MATRIX_MAX_SIZE points, stepped at least
+    as many times as there are points, first has D = P - I assembled on the
+    setup: an n^2 * 16-byte matrix that replaces any held before.  The
+    truncated series is not unitary; the report records the norm drift
+    |norm - 1| per step and the run aborts once it exceeds 0.1.  An
+    overflowing run ends on that check or on a non-finite step, without
+    numpy floating-point warnings.
     """
-    ratio = t_final / step.dt
-    n_steps = round(ratio)
-    if n_steps < 1 or abs(ratio - n_steps) > 1e-9 * max(1.0, abs(ratio)):
-        raise ValueError("t_final must be a positive multiple of dt")
-
+    n_steps = step.steps_to(t_final)
     warnings = []
     if step.dt * setup.spectral_radius >= 1.0:
         warnings.append(
@@ -274,13 +347,17 @@ def propagate(setup: TdseSetup, step: PropagatorStep,
 
     records = []
     psi = setup.psi0
-    for i in range(1, n_steps + 1):
-        psi = cod_step(setup, step, psi, (i - 1) * step.dt)
-        norm = psi.l2_norm()
-        drift = abs(norm - 1.0)
-        records.append({"step": i, "t": i * step.dt, "norm": norm, "drift": drift})
-        if drift > 0.1:
-            raise RuntimeError(
-                f"propagation unstable: norm drift {drift:.3g} at step {i}"
-            )
+    n = setup.x.size
+    with np.errstate(all="ignore"):
+        if _taylor_form(setup, step) and n <= _MATRIX_MAX_SIZE and n_steps >= n:
+            setup._step_matrix = ((step.dt, step.n_terms), _assemble_step_matrix(setup, step))
+        for i in range(1, n_steps + 1):
+            psi = cod_step(setup, step, psi, (i - 1) * step.dt)
+            norm = psi.l2_norm()
+            drift = abs(norm - 1.0)
+            records.append({"step": i, "t": i * step.dt, "norm": norm, "drift": drift})
+            if drift > 0.1:
+                raise RuntimeError(
+                    f"propagation unstable: norm drift {drift:.3g} at step {i}"
+                )
     return psi, PropagationReport(records=records, warnings=warnings)

@@ -417,6 +417,33 @@ class TestTdseCommand:
         assert "Warning" not in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("flags, message", [
+        # once solver errors (exit 1), the sigma one after numpy RuntimeWarnings
+        (["--dt", "0.3", "--t-final", "1.0"], "t_final must be a positive multiple of dt"),
+        (["--sigma", "1e-300"], "--x0 0, --sigma 1e-300"),
+        (["--x0", "1e6"], "--x0 1e+06, --sigma 1"),
+    ])
+    def test_bad_packet_or_horizon_exits_3_before_any_file(self, tmp_path, capsys,
+                                                          flags, message):
+        code = run(["tdse", *flags, "--out-dir", str(tmp_path / "out")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Warning" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("t_final", ["0.1", "1.0"])  # FFT recurrence; assembled D
+    def test_overflowing_t_free_run_is_a_solver_error_without_warnings(self, tmp_path,
+                                                                       capsys, t_final):
+        code = run(["tdse", "--size", "16", "--potential", "1e200*x^2", "--dt", "1e-2",
+                    "--t-final", t_final, "--out-dir", str(tmp_path / "out")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "non-finite values in propagation step" in err
+        assert "Warning" not in err
+
     @pytest.mark.filterwarnings("ignore:divide by zero")
     def test_non_finite_t_free_potential_exits_3(self, tmp_path, capsys):
         # x = 0 is a grid point of the default box

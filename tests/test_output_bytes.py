@@ -49,6 +49,9 @@ CORPUS = {
                              "resolvent", "--source", "delta"],
     "tdse": ["tdse", "--size", "32", "--potential", "0.5*x^2", "--k0", "1",
              "--dt", "1e-2", "--t-final", "0.1"],
+    # 50 steps on 32 points: t-free data step with the assembled D = P - I
+    "tdse-long": ["tdse", "--size", "32", "--potential", "0.5*x^2", "--k0", "1",
+                  "--dt", "1e-2", "--t-final", "0.5"],
     # t-dependent U and A keep the per-node sampling path pinned
     "tdse-td": ["tdse", "--size", "32", "--potential", "0.5*x^2+0.1*t*cos(x)",
                 "--vector-potential", "0.2*sin(t)", "--k0", "1",
@@ -179,6 +182,12 @@ GOLDEN = {
             '2790859a447abc62023497a5e27e7ce99dccfdec1a178aa7ceb57492f6618eae',
         'tdse_steps.jsonl':
             'cba42fbe8da162f5429abe2949d3e5989f761f60541a763a26be61d9a98eec83',
+    },
+    'tdse-long': {
+        'tdse_final.csv':
+            '74a70b8ec5214a29cd491ecd3b07f62e13956e208468bc57904a0f70e0649cdf',
+        'tdse_steps.jsonl':
+            '44c03f494efe785b91edf74a0a8d366d70e16d4935e4ab555060e1e5da4ef2c9',
     },
     'tdse-static-a': {
         'tdse_final.csv':

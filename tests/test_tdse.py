@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from codseries import tdse
 from codseries.grids import Grid, GridFunction
 from codseries.oracles import _dense_hamiltonian, crank_nicolson
 from codseries.tdse import (
@@ -52,9 +53,10 @@ class TestHamiltonian:
 class TestSetupValidation:
     def test_requires_normalized_state(self):
         grid = Grid.periodic(0.0, 2.0 * np.pi, 16)
-        with pytest.raises(ValueError, match="normalized"):
-            TdseSetup(grid, ZERO_POTENTIAL, ZERO_FIELD,
-                      GridFunction(grid, np.ones(16)))
+        for value in (1.0, np.nan):
+            with pytest.raises(ValueError, match="normalized"):
+                TdseSetup(grid, ZERO_POTENTIAL, ZERO_FIELD,
+                          GridFunction(grid, np.full(16, value)))
 
     def test_requires_matching_grid(self):
         grid = Grid.periodic(0.0, 2.0 * np.pi, 16)
@@ -221,12 +223,14 @@ def _dense_taylor(setup, dt, n_terms):
 
 
 class TestTaylorPath:
-    @pytest.mark.parametrize("n, length, n_terms, a0", [
+    CASES = [  # (n, length, n_terms, a0)
         (16, 2.0 * np.pi, 1, 0.0),
         (32, 20.0, 4, 0.3),
         (48, 10.0, 5, -1.2),
         (64, 8.0 * np.pi, 6, 2.0),
-    ])
+    ]
+
+    @pytest.mark.parametrize("n, length, n_terms, a0", CASES)
     def test_step_is_dense_taylor_polynomial(self, n, length, n_terms, a0):
         _, static = TestStaticData._pair(n, length, a0)
         dt = 1e-2
@@ -252,6 +256,69 @@ class TestTaylorPath:
         stepped = cod_step(static, step, psi, 0.0).values
         assert np.max(np.abs(stepped - _dense_taylor(static, dt, n_terms))) <= 1e-12
         assert np.max(np.abs(stepped - cod_step(dynamic, step, psi, 0.0).values)) <= 1e-13
+
+
+class TestStepMatrix:
+    """Taylor-form runs with at least as many steps as grid points step with
+    the assembled D = P - I; the FFT recurrence on the state is the
+    reference."""
+
+    @pytest.mark.parametrize("n, length, n_terms, a0", TestTaylorPath.CASES)
+    def test_run_matches_the_fft_recurrence(self, monkeypatch, n, length, n_terms, a0):
+        _, assembled = TestStaticData._pair(n, length, a0)
+        _, recurrence = TestStaticData._pair(n, length, a0)
+        step = PropagatorStep(dt=1e-2, n_terms=n_terms)
+        t_final = (n + 5) * step.dt
+        final_a, report_a = propagate(assembled, step, t_final)
+        monkeypatch.setattr(tdse, "_MATRIX_MAX_SIZE", 0)
+        final_b, report_b = propagate(recurrence, step, t_final)
+        assert assembled._step_matrix[0] == (step.dt, n_terms)
+        assert recurrence._step_matrix is None
+        assert np.max(np.abs(final_a.values - final_b.values)) <= 1e-13
+        assert len(report_a.records) == len(report_b.records) == n + 5
+        for ra, rb in zip(report_a.records, report_b.records):
+            assert (ra["step"], ra["t"]) == (rb["step"], rb["t"])
+            assert abs(ra["norm"] - rb["norm"]) <= 1e-13
+            assert abs(ra["drift"] - rb["drift"]) <= 1e-13
+        assert report_a.warnings == report_b.warnings
+
+    @pytest.mark.parametrize("n, length, n_terms, a0", TestTaylorPath.CASES)
+    def test_assembled_step_is_dense_taylor_polynomial(self, n, length, n_terms, a0):
+        _, static = TestStaticData._pair(n, length, a0)
+        step = PropagatorStep(dt=1e-2, n_terms=n_terms)
+        propagate(static, step, n * step.dt)
+        _, matrix = static._step_matrix
+        stepped = cod_step(static, step, static.psi0, 0.0).values
+        assert np.array_equal(stepped, static.psi0.values + matrix @ static.psi0.values)
+        assert np.max(np.abs(stepped - _dense_taylor(static, step.dt, n_terms))) <= 1e-12
+
+    @pytest.mark.parametrize("t_final", [0.1, 0.5])  # 10 steps < 32 points; 50 >= 32
+    def test_propagate_calls_cod_step_once_per_step(self, monkeypatch, t_final):
+        _, static = TestStaticData._pair(32, 20.0)
+        calls = []
+
+        def counted(*args):
+            calls.append(args[3])
+            return cod_step(*args)
+
+        monkeypatch.setattr(tdse, "cod_step", counted)
+        _, report = propagate(static, PropagatorStep(dt=1e-2, n_terms=4), t_final)
+        assert calls == [i * 1e-2 for i in range(len(report.records))]
+        assert len(calls) == round(t_final / 1e-2)
+        assert (static._step_matrix is not None) == (t_final == 0.5)
+
+    def test_matrix_is_kept_per_step_and_replaced(self):
+        _, static = TestStaticData._pair(16, 10.0)
+        first, second = PropagatorStep(dt=1e-2, n_terms=4), PropagatorStep(dt=2e-2, n_terms=4)
+        propagate(static, first, 0.2)
+        assert static._step_matrix[0] == (1e-2, 4)
+        # a step D was not built for takes the recurrence
+        reference = TdseSetup(static.grid, static.potential, static.vector_potential,
+                              static.psi0)
+        assert np.array_equal(cod_step(static, second, static.psi0, 0.0).values,
+                              cod_step(reference, second, static.psi0, 0.0).values)
+        propagate(static, second, 0.4)
+        assert static._step_matrix[0] == (2e-2, 4)
 
 
 class TestStep:
@@ -358,10 +425,37 @@ class TestPropagate:
     def test_unstable_run_aborts(self):
         grid = Grid.periodic(-10.0, 20.0, 16)
         x = grid.points()
-        setup = TdseSetup(grid, lambda xv, t: np.full_like(xv, 1000.0), ZERO_FIELD,
-                          normalize(GridFunction(grid, np.exp(-x ** 2 / 2))))
+        psi0 = normalize(GridFunction(grid, np.exp(-x ** 2 / 2)))
+        setup = TdseSetup(grid, lambda xv, t: np.full_like(xv, 1000.0), ZERO_FIELD, psi0)
         with pytest.raises(RuntimeError, match="propagation unstable"):
             propagate(setup, PropagatorStep(dt=1e-2, n_terms=4), 0.1)
+        # array data: the FFT recurrence for 10 steps, the assembled D for 20
+        for t_final in (0.1, 0.2):
+            setup = TdseSetup(grid, np.full(16, 1000.0), 0.0, psi0)
+            with pytest.raises(RuntimeError, match="propagation unstable"):
+                propagate(setup, PropagatorStep(dt=1e-2, n_terms=4), t_final)
+            assert (setup._step_matrix is not None) == (t_final == 0.2)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("scale, n_terms, t_final, error, match", [
+        (1e200, 4, 0.1, ValueError, "non-finite values in propagation step"),
+        (1e200, 4, 1.0, ValueError, "non-finite values in propagation step"),
+        # a finite first step whose norm overflows
+        (1e150, 2, 1.0, RuntimeError, "propagation unstable"),
+    ])
+    def test_overflow_raises_without_floating_point_warnings(self, scale, n_terms, t_final,
+                                                            error, match):
+        grid = Grid.periodic(-10.0, 20.0, 16)
+        x = grid.points()
+        setup = TdseSetup(grid, scale * x ** 2, 0.0,
+                          normalize(GridFunction(grid, np.exp(-x ** 2 / 2))))
+        step = PropagatorStep(dt=1e-2, n_terms=n_terms)
+        with pytest.raises(error, match=match):
+            propagate(setup, step, t_final)
+        assert (setup._step_matrix is not None) == (t_final == 1.0)
+        if error is ValueError:  # cod_step alone, on the path propagate took
+            with pytest.raises(ValueError, match=match):
+                cod_step(setup, step, setup.psi0, 0.0)
 
     def test_time_dependent_data_match_the_time_dependent_oracle(self):
         # t-dependent U and A take the sub-node path; the oracle rebuilds H at

@@ -366,6 +366,8 @@ _TDSE_FLAGS = {
     "k0": ("0", _real), "dt": ("1e-2", _positive), "t_final": ("1.0", _positive),
     "terms": ("4", _integer(1)), "nodes": (None, _integer(2)), "out_dir": (".", _text),
 }
+# Largest fraction of the packet's line mass the grid may miss.
+_PACKET_MASS_SHORTFALL = 1e-6
 
 
 def _cmd_tdse(params) -> int:
@@ -386,10 +388,17 @@ def _cmd_tdse(params) -> int:
     x0, k0 = params["x0"], params["k0"]
     with np.errstate(all="ignore"):
         packet = GridFunction(grid, np.exp(-((x - x0) ** 2) / (2.0 * sigma ** 2) + 1j * k0 * x))
-        norm = packet.l2_norm()
-    if not (np.isfinite(packet.values).all() and norm > 0.0):
+        mass = packet.l2_norm() ** 2
+    # |packet|^2 holds sqrt(pi)*sigma on the whole line; a packet that the box
+    # cuts, or that is too narrow for the grid, holds less on it
+    line_mass = math.sqrt(math.pi) * sigma
+    if not (np.isfinite(packet.values).all()
+            and mass >= (1.0 - _PACKET_MASS_SHORTFALL) * line_mass):
         raise UsageError(f"--x0 {x0:g}, --sigma {sigma:g} and --k0 {k0:g} give a wave packet "
-                         "that is not finite and nonzero on the grid")
+                         f"whose mass on the grid, {mass:.6g}, falls short of the Gaussian's "
+                         f"sqrt(pi)*sigma = {line_mass:.6g} by more than a fraction "
+                         f"{_PACKET_MASS_SHORTFALL:g}; keep it inside the box and wider than "
+                         "the grid step")
     step = PropagatorStep(dt=params["dt"], n_terms=params["terms"],
                           quadrature_nodes=params["nodes"])
     try:

@@ -22,6 +22,9 @@ _TOKEN_RE = re.compile(
 
 _FUNCTIONS = {"sin": np.sin, "cos": np.cos, "exp": np.exp}
 _CONSTANTS = {"pi": math.pi}
+# Most operations nested in one another: evaluating an expression recurses
+# once per level, so this keeps it well inside Python's recursion limit.
+_MAX_DEPTH = 256
 
 
 class ExpressionError(ValueError):
@@ -79,75 +82,83 @@ class _Parser:
         if kind != "op" or value != op:
             raise ExpressionError(f"expected {op!r} at position {pos}")
 
+    # Each rule returns the evaluator it built and the depth of its nested
+    # calls; a leaf has depth 0.
+
     def parse(self):
-        fn = self.expr()
+        fn, depth = self.expr()
         kind, value, pos = self.peek()
         if kind is not None:
             raise ExpressionError(f"unexpected {value!r} at position {pos}")
+        if depth > _MAX_DEPTH:
+            raise ExpressionError(f"expression nests {depth} operations deep, "
+                                  f"more than {_MAX_DEPTH}")
         return fn
 
     def expr(self):
-        fn = self.term()
+        fn, depth = self.term()
         while True:
             kind, value, _ = self.peek()
             if kind == "op" and value in "+-":
                 self.take()
-                rhs = self.term()
+                rhs, rhs_depth = self.term()
                 fn = (lambda a, b: lambda env: a(env) + b(env))(fn, rhs) if value == "+" \
                     else (lambda a, b: lambda env: a(env) - b(env))(fn, rhs)
+                depth = max(depth, rhs_depth) + 1
             else:
-                return fn
+                return fn, depth
 
     def term(self):
-        fn = self.factor()
+        fn, depth = self.factor()
         while True:
             kind, value, _ = self.peek()
             if kind == "op" and value in "*/":
                 self.take()
-                rhs = self.factor()
+                rhs, rhs_depth = self.factor()
                 fn = (lambda a, b: lambda env: a(env) * b(env))(fn, rhs) if value == "*" \
                     else (lambda a, b: lambda env: a(env) / b(env))(fn, rhs)
+                depth = max(depth, rhs_depth) + 1
             else:
-                return fn
+                return fn, depth
 
     def factor(self):
         kind, value, _ = self.peek()
         if kind == "op" and value in "+-":
             self.take()
-            inner = self.factor()
+            inner, depth = self.factor()
             if value == "-":
-                return lambda env: -inner(env)
-            return inner
+                return (lambda env: -inner(env)), depth + 1
+            return inner, depth
         return self.power()
 
     def power(self):
-        base = self.atom()
+        base, depth = self.atom()
         kind, value, _ = self.peek()
         if kind == "op" and value in ("^", "**"):
             self.take()
-            exponent = self.factor()
-            return lambda env: base(env) ** exponent(env)
-        return base
+            exponent, exponent_depth = self.factor()
+            return (lambda env: base(env) ** exponent(env)), max(depth, exponent_depth) + 1
+        return base, depth
 
     def atom(self):
         kind, value, pos = self.take()
         if kind == "number":
             number = float(value)
-            return lambda env: number
+            return (lambda env: number), 0
         if kind == "name":
             if value in _FUNCTIONS:
                 func = _FUNCTIONS[value]
                 self.expect_op("(")
-                inner = self.expr()
+                inner, depth = self.expr()
                 self.expect_op(")")
-                return lambda env: func(inner(env))
+                return (lambda env: func(inner(env))), depth + 1
             if value in _CONSTANTS:
                 constant = _CONSTANTS[value]
-                return lambda env: constant
+                return (lambda env: constant), 0
             if value in self.variables:
                 name = value
                 self.used.add(name)
-                return lambda env: env[name]
+                return (lambda env: env[name]), 0
             raise ExpressionError(f"unknown name {value!r} at position {pos}")
         if kind == "op" and value == "(":
             inner = self.expr()
@@ -157,9 +168,16 @@ class _Parser:
 
 
 def parse_expression(text: str, variables: tuple = ("t",)) -> Expression:
-    """Parse ``text`` into an :class:`Expression` over the named variables."""
+    """Parse ``text`` into an :class:`Expression` over the named variables.
+
+    Malformed text, and text nested too deeply to parse or evaluate within
+    Python's recursion limit, raise :class:`ExpressionError`.
+    """
     if not text.strip():
         raise ExpressionError("empty expression")
     parser = _Parser(text, tuple(variables))
-    fn = parser.parse()
+    try:
+        fn = parser.parse()
+    except RecursionError:
+        raise ExpressionError("expression nested too deeply to parse") from None
     return Expression(fn, text, tuple(v for v in variables if v in parser.used))

@@ -10,23 +10,23 @@ No time ordering is introduced: for a time-independent Hamiltonian the
 N-term step is exactly the degree-N Taylor polynomial of the evolution
 operator, which pins the per-step accuracy at order N+1.
 
-A step takes one of three paths, chosen from the form of the data.  With U
-an array, A a number and nodes >= n_terms, the iterated integrals have the
-closed form term_n = (-i dt / n) H term_{n-1}, so the step is one fixed
-matrix, the degree-N Taylor polynomial P of the evolution operator.  A
-:func:`propagate` run on at most 256 grid points that takes at least as
-many steps as there are points assembles D = P - I once and steps as
-psi + D @ psi, one matvec; other such steps run the recurrence on the
-state, 2N FFT calls.  At 256 points the per-call overhead of those FFTs
-makes a step cost about 4x the matvec and the assembly about 50-80 steps;
-at 768 points the matvec is the slower one.  Every other setup (a callable
-U or A, or fewer sub-nodes than terms) carries each term on
-Chebyshev-Lobatto sub-nodes inside the step and evaluates the in-step
-cumulative integrals with a polynomial collocation rule.  The rule
-integrates polynomial integrands of degree < nodes exactly, so with nodes
->= n_terms all three paths give the Taylor polynomial to round-off (a
-trapezoid rule on the sub-nodes would cap every step at second order
-regardless of the term count).
+A step takes one of two paths, chosen from the form of the data.  With U
+an array, A a number and nodes >= n_terms, term_n = (-i dt / n) H term_{n-1}
+in closed form, so the step is the Taylor polynomial P = p(-i dt H), run as
+a recurrence on the state with 2N FFT calls.  Every other setup carries
+each term on Chebyshev-Lobatto sub-nodes inside the step and integrates it
+with a polynomial collocation rule, exact on integrands of degree < nodes:
+with nodes >= n_terms both paths give P to round-off (a trapezoid rule
+would cap every step at second order whatever the term count).
+
+A :func:`propagate` run of Taylor form with dt * spectral_radius < 1, on at
+most 1024 points and of at least n * max(1, n // 512) steps (n // 256 when
+A != 0 makes H complex), takes no steps: one eigh of the dense H gives step
+k as W p(-i dt lam)^k W^H psi0.  On two cores that eigh costs 0.2-0.9 FFT
+steps per point up to 1024 points for a real H, and 0.6, 1.3 and 3.4 at
+256, 512 and 1024 points for a complex one.  It holds about five n x n
+arrays (H, eigh's copy, workspace and W): 2.5 MB at 256 real points, 40 MB
+at 1024, twice that when complex.
 
 The Hamiltonian 0.5*(i d/dx + A(t))^2 + U(x, t) is applied spectrally on a
 periodic grid; the vector potential is spatially uniform so the kinetic
@@ -41,12 +41,10 @@ import numpy.polynomial.chebyshev as ncheb
 
 from .grids import Grid, GridFunction, wavenumbers
 
-# Largest grid on which a long Taylor-form run assembles D = P - I; the
-# n x n matvec grows like n^2 and, on one BLAS thread, costs as much as the
-# FFT step near 512 points.
-_MATRIX_MAX_SIZE = 256
-# Complex values per block of identity rows while D is assembled.
-_BLOCK_VALUES = 1 << 13
+# Largest grid a long Taylor-form run is stepped in H's eigenbasis on.
+_EIGEN_MAX_SIZE = 1024
+# Values per block of the (steps x modes) gains while the norms are formed.
+_NORM_BLOCK_VALUES = 1 << 14
 
 __all__ = [
     "NonFiniteDataError",
@@ -85,13 +83,11 @@ class TdseSetup:
     mixed setup reuses them at every sub-node.  The initial state must be
     L2-normalized to 1 within 1e-12, and U and A finite at t = 0; a
     callable that is not finite at a later sub-node raises
-    :class:`NonFiniteDataError` from that step.  ``x``
-    and ``k`` hold the grid points and wavenumbers; ``kinetic`` holds
-    0.5*(k - A)^2 for a number A and is None for a callable one;
+    :class:`NonFiniteDataError` from that step.  ``x`` and ``k`` hold the
+    grid points and wavenumbers; ``kinetic`` holds 0.5*(k - A)^2 for a
+    number A and is None for a callable one;
     ``spectral_radius`` is the crude bound max_k 0.5*(|k|+|A|)^2 + max|U|
-    at t = 0 that :func:`propagate` checks dt against.  ``_step_matrix``
-    holds ((dt, n_terms), D) once :func:`propagate` has assembled the Taylor
-    step's D = P - I for that step, else None; one matrix at a time.
+    at t = 0 that :func:`propagate` checks dt against.
     """
 
     grid: Grid
@@ -102,8 +98,6 @@ class TdseSetup:
     k: np.ndarray = field(init=False, repr=False, compare=False)
     kinetic: Optional[np.ndarray] = field(init=False, repr=False, compare=False)
     spectral_radius: float = field(init=False, repr=False, compare=False)
-    _step_matrix: Optional[tuple] = field(default=None, init=False, repr=False,
-                                          compare=False)
 
     def __post_init__(self):
         if self.psi0.grid != self.grid:
@@ -242,56 +236,23 @@ def _taylor_form(setup: TdseSetup, step: PropagatorStep) -> bool:
             and step.nodes >= step.n_terms)
 
 
-def _add_taylor_terms(setup: TdseSetup, step: PropagatorStep, term: np.ndarray,
-                      total: np.ndarray) -> np.ndarray:
-    """Add term_1 .. term_N of term_n = (-i dt / n) H term_{n-1} to total.
-
-    ``term`` is term_0, complex; the recurrence runs along its last axis, so
-    each row of a 2D stack is a state of its own.
-    """
-    for n in range(1, step.n_terms + 1):
-        term = (-1j * step.dt / n) * (np.fft.ifft(setup.kinetic * np.fft.fft(term))
-                                      + setup.potential * term)
-        total += term
-    return total
-
-
-def _assemble_step_matrix(setup: TdseSetup, step: PropagatorStep) -> np.ndarray:
-    """D = P - I for the Taylor step P, a block of identity rows at a time.
-
-    Row j of a block is e_j, so the recurrence turns it into column j of
-    P - I; a block holds about _BLOCK_VALUES values, which bounds the
-    temporaries of the build to a few times that.
-    """
-    n = setup.x.size
-    block = max(1, _BLOCK_VALUES // n)
-    matrix = np.empty((n, n), dtype=complex)
-    for start in range(0, n, block):
-        stop = min(start + block, n)
-        rows = np.zeros((stop - start, n), dtype=complex)
-        rows[np.arange(stop - start), np.arange(start, stop)] = 1.0
-        matrix[:, start:stop] = _add_taylor_terms(setup, step, rows, np.zeros_like(rows)).T
-    return matrix
-
-
 def cod_step(setup: TdseSetup, step: PropagatorStep, psi: GridFunction,
              t: float) -> GridFunction:
     """Advance psi from t to t + dt with the n_terms-term series.
 
-    Uses the setup's assembled D = P - I when it was built for this dt and
-    n_terms.  A step that overflows raises ValueError, without numpy
-    floating-point warnings.
+    A step that overflows raises ValueError, without numpy floating-point
+    warnings.
     """
     with np.errstate(all="ignore"):
         if not _taylor_form(setup, step):
             total = _sub_node_step(setup, step, psi, t)
-        elif (setup._step_matrix is not None
-              and setup._step_matrix[0] == (step.dt, step.n_terms)):
-            total = setup._step_matrix[1] @ psi.values
-            total += psi.values
-        else:
+        else:  # term_n = (-i dt / n) H term_{n-1}
             term = psi.values.astype(complex)
-            total = _add_taylor_terms(setup, step, term, term.copy())
+            total = term.copy()
+            for n in range(1, step.n_terms + 1):
+                term = (-1j * step.dt / n) * (np.fft.ifft(setup.kinetic * np.fft.fft(term))
+                                              + setup.potential * term)
+                total += term
     if not np.isfinite(total).all():
         raise ValueError("non-finite values in propagation step")
     return psi.with_values(total)
@@ -325,39 +286,78 @@ class PropagationReport:
     warnings: list
 
 
+def _by_parts(apply, values: np.ndarray) -> np.ndarray:
+    """Real-linear ``apply`` on each part of complex values: no complex copy."""
+    if not np.iscomplexobj(values):
+        return apply(values)
+    return apply(values.real) + 1j * apply(values.imag)
+
+
+def _eigen_propagate(setup: TdseSetup, step: PropagatorStep, n_steps: int):
+    """The run's final state and norms from H = W diag(lam) W^H, p = 1 + q:
+    norm_k^2 = |psi0|^2 sum w e^(k g) with weights w ~ |W^H psi0|^2 summing
+    to 1 and gains g = log1p(2 Re q + |q|^2), exact where |p|^(2k) is not."""
+    n = setup.x.size
+    # the circulant C[j, l] = column[(j - l) % n] has row j = window n - 1 - j
+    # of the column reversed and wrapped; A = 0 makes it real (k^2 is even)
+    column = (np.fft.irfft(setup.kinetic[: n // 2 + 1], n) if setup.vector_potential == 0.0
+              else np.fft.ifft(setup.kinetic))
+    wrapped = np.concatenate((column[::-1], column[:0:-1]))
+    h = np.lib.stride_tricks.sliding_window_view(wrapped, n)[::-1].copy()
+    h.reshape(-1)[:: n + 1] += setup.potential
+    lam, w = np.linalg.eigh(h)
+    del h
+
+    coeffs = _by_parts(lambda v: (v @ w).conj(), setup.psi0.values)
+    q = 0.0
+    for order in range(step.n_terms, 0, -1):  # Horner: q = z + z^2/2 + ... + z^N/N!
+        q = -1j * step.dt * lam / order * (1.0 + q)
+    gain = np.log1p(2.0 * q.real + np.abs(q) ** 2)
+    final = _by_parts(lambda v: w @ v,
+                      coeffs * np.exp(n_steps * (0.5 * gain + 1j * np.angle(1.0 + q))))
+    del w
+
+    weights = np.abs(coeffs) ** 2
+    weights /= weights.sum()
+    block = max(1, _NORM_BLOCK_VALUES // n)
+    norms = np.empty(n_steps)
+    for start in range(0, n_steps, block):
+        ks = np.arange(start + 1, min(start + block, n_steps) + 1)
+        norms[start:start + ks.size] = np.exp(np.multiply.outer(ks, gain)) @ weights
+    return setup.psi0.with_values(final), (setup.psi0.l2_norm() * np.sqrt(norms)).tolist()
+
+
 def propagate(setup: TdseSetup, step: PropagatorStep,
               t_final: float) -> tuple[GridFunction, PropagationReport]:
-    """Iterate :func:`cod_step` to t_final (a positive multiple of dt).
-
-    Taylor-form data on at most _MATRIX_MAX_SIZE points, stepped at least
-    as many times as there are points, first has D = P - I assembled on the
-    setup: an n^2 * 16-byte matrix that replaces any held before.  The
-    truncated series is not unitary; the report records the norm drift
-    |norm - 1| per step and the run aborts once it exceeds 0.1.  An
-    overflowing run ends on that check or on a non-finite step, without
-    numpy floating-point warnings.
-    """
+    """Iterate :func:`cod_step` to t_final (a positive multiple of dt), or run
+    in H's eigenbasis where the module docstring's rule allows.  The report
+    records the norm drift |norm - 1| per step and the run aborts once it
+    exceeds 0.1; an overflowing run ends on that check or on a non-finite
+    step, without numpy floating-point warnings."""
     n_steps = step.steps_to(t_final)
-    warnings = []
-    if step.dt * setup.spectral_radius >= 1.0:
-        warnings.append(
-            f"dt * spectral radius estimate = {step.dt * setup.spectral_radius:.3g} >= 1; "
-            "the truncated step may lose accuracy or amplify high modes"
-        )
-
-    records = []
-    psi = setup.psi0
+    stable = step.dt * setup.spectral_radius < 1.0
+    warnings = [] if stable else [
+        f"dt * spectral radius estimate = {step.dt * setup.spectral_radius:.3g} >= 1; "
+        "the truncated step may lose accuracy or amplify high modes"]
     n = setup.x.size
+    # the steps an eigh pays for, with the margin the module docstring's
+    # crossovers leave; a complex H (A != 0) costs 2-5x a real one
+    eigen_steps = n * max(1, n // (512 if setup.vector_potential == 0.0 else 256))
     with np.errstate(all="ignore"):
-        if _taylor_form(setup, step) and n <= _MATRIX_MAX_SIZE and n_steps >= n:
-            setup._step_matrix = ((step.dt, step.n_terms), _assemble_step_matrix(setup, step))
-        for i in range(1, n_steps + 1):
-            psi = cod_step(setup, step, psi, (i - 1) * step.dt)
-            norm = psi.l2_norm()
-            drift = abs(norm - 1.0)
-            records.append({"step": i, "t": i * step.dt, "norm": norm, "drift": drift})
-            if drift > 0.1:
-                raise RuntimeError(
-                    f"propagation unstable: norm drift {drift:.3g} at step {i}"
-                )
+        if (stable and _taylor_form(setup, step) and n <= _EIGEN_MAX_SIZE
+                and n_steps >= eigen_steps):
+            psi, norms = _eigen_propagate(setup, step, n_steps)
+        else:
+            psi, norms = setup.psi0, []
+            for i in range(n_steps):
+                psi = cod_step(setup, step, psi, i * step.dt)
+                norms.append(psi.l2_norm())
+                if abs(norms[-1] - 1.0) > 0.1:
+                    break
+    records = []
+    for i, norm in enumerate(norms, 1):
+        drift = abs(norm - 1.0)
+        records.append({"step": i, "t": i * step.dt, "norm": norm, "drift": drift})
+        if drift > 0.1:
+            raise RuntimeError(f"propagation unstable: norm drift {drift:.3g} at step {i}")
     return psi, PropagationReport(records=records, warnings=warnings)

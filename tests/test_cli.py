@@ -153,6 +153,18 @@ class TestArgumentErrors:
         assert run(["oscillator", "--omega-sq", "sin(q)",
                     "--out-dir", str(tmp_path)]) == 3
 
+    @pytest.mark.parametrize("text, message", [
+        ("(" * 1200 + "1" + ")" * 1200, "nested too deeply to parse"),
+        ("2^" * 1200 + "1", "nested too deeply to parse"),
+        ("+".join(["1"] * 3000), "nests 2999 operations deep"),  # parses, then recursed
+    ], ids=["parens", "powers", "sum"])
+    def test_deeply_nested_expression_exits_3(self, tmp_path, capsys, text, message):
+        # once a solver error (exit 1): maximum recursion depth exceeded
+        code = run(["oscillator", "--omega-sq", text, "--out-dir", str(tmp_path / "out")])
+        assert code == 3
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_bad_number(self, tmp_path):
         assert run(["oscillator", "--tol", "abc", "--out-dir", str(tmp_path)]) == 3
 
@@ -423,6 +435,10 @@ class TestTdseCommand:
         (["--dt", "0.3", "--t-final", "1.0"], "t_final must be a positive multiple of dt"),
         (["--sigma", "1e-300"], "--x0 0, --sigma 1e-300"),
         (["--x0", "1e6"], "--x0 1e+06, --sigma 1"),
+        # once exit 0: a far tail normalized into a unit state, and a packet
+        # with 8% of its mass cut off by the box [-10, 10)
+        (["--x0", "36", "--t-final", "0.1"], "--x0 36, --sigma 1"),
+        (["--x0", "9"], "--x0 9, --sigma 1"),
     ])
     def test_bad_packet_or_horizon_exits_3_before_any_file(self, tmp_path, capsys,
                                                           flags, message):

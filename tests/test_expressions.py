@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from codseries.expressions import ExpressionError, parse_expression
 
@@ -92,3 +93,28 @@ class TestErrors:
     def test_missing_operand(self):
         with pytest.raises(ExpressionError):
             evaluate("1+")
+
+
+_TOKENS = ["1", "2.5", ".5", "1e3", "1e", "t", "x", "pi", "sin", "cos", "exp", "tan",
+           "+", "-", "*", "/", "^", "**", "(", ")", " ", "?", "_"]
+
+
+class TestGeneratedText:
+    @settings(max_examples=300, deadline=None)
+    @given(body=st.one_of(st.text(max_size=30),
+                          st.lists(st.sampled_from(_TOKENS), max_size=40).map("".join)),
+           prefix=st.sampled_from(["(", "-", "2^", "1+", "sin(", "2**"]),
+           depth=st.integers(0, 1500))
+    def test_any_text_parses_or_raises_expression_error(self, body, prefix, depth):
+        text = prefix * depth + body
+        try:
+            expr = parse_expression(text, ("t", "x"))
+        except ExpressionError:
+            return
+        # what parses evaluates without running out of stack; arithmetic on
+        # constants alone runs on Python floats, which raise ArithmeticError
+        with np.errstate(all="ignore"):
+            try:
+                expr(t=np.linspace(0.0, 1.0, 3), x=np.linspace(-1.0, 1.0, 3))
+            except ArithmeticError:
+                pass

@@ -49,7 +49,7 @@ CORPUS = {
                              "resolvent", "--source", "delta"],
     "tdse": ["tdse", "--size", "32", "--potential", "0.5*x^2", "--k0", "1",
              "--dt", "1e-2", "--t-final", "0.1"],
-    # 50 steps on 32 points: t-free data step with the assembled D = P - I
+    # 50 steps on 32 points: t-free data run in H's eigenbasis
     "tdse-long": ["tdse", "--size", "32", "--potential", "0.5*x^2", "--k0", "1",
                   "--dt", "1e-2", "--t-final", "0.5"],
     # t-dependent U and A keep the per-node sampling path pinned
@@ -185,9 +185,9 @@ GOLDEN = {
     },
     'tdse-long': {
         'tdse_final.csv':
-            '74a70b8ec5214a29cd491ecd3b07f62e13956e208468bc57904a0f70e0649cdf',
+            '3d56a32739597af38aa201348df4e16f1f32b806da0deca28c1e020793dc3327',
         'tdse_steps.jsonl':
-            '44c03f494efe785b91edf74a0a8d366d70e16d4935e4ab555060e1e5da4ef2c9',
+            '4c425177a2746a34c2212cd371702800020ece5c3e8b639256ec3bc28341abd9',
     },
     'tdse-static-a': {
         'tdse_final.csv':

@@ -130,6 +130,17 @@ class TestSetupValidation:
         assert PropagatorStep(dt=0.1, n_terms=3).nodes == 4
 
 
+def _assert_runs_agree(run_a, run_b, tol):
+    (final_a, report_a), (final_b, report_b) = run_a, run_b
+    assert np.max(np.abs(final_a.values - final_b.values)) <= tol
+    assert len(report_a.records) == len(report_b.records)
+    for ra, rb in zip(report_a.records, report_b.records):
+        assert (ra["step"], ra["t"]) == (rb["step"], rb["t"])
+        assert abs(ra["norm"] - rb["norm"]) <= tol
+        assert abs(ra["drift"] - rb["drift"]) <= tol
+    assert report_a.warnings == report_b.warnings
+
+
 class TestStaticData:
     """Array and number data against the equivalent callables.
 
@@ -176,16 +187,8 @@ class TestStaticData:
     def test_propagate_matches_callables(self, n, length, n_terms, nodes):
         dynamic, static = self._pair(n, length)
         step = PropagatorStep(dt=1e-3, n_terms=n_terms, quadrature_nodes=nodes)
-        final_a, report_a = propagate(dynamic, step, 2e-2)
-        final_b, report_b = propagate(static, step, 2e-2)
-        tol = self._tolerance(n_terms, nodes)
-        assert np.max(np.abs(final_a.values - final_b.values)) <= tol
-        assert len(report_a.records) == len(report_b.records)
-        for ra, rb in zip(report_a.records, report_b.records):
-            assert (ra["step"], ra["t"]) == (rb["step"], rb["t"])
-            assert abs(ra["norm"] - rb["norm"]) <= tol
-            assert abs(ra["drift"] - rb["drift"]) <= tol
-        assert report_a.warnings == report_b.warnings
+        _assert_runs_agree(propagate(dynamic, step, 2e-2), propagate(static, step, 2e-2),
+                           self._tolerance(n_terms, nodes))
 
     def test_mixed_forms_and_hamiltonian_match(self):
         dynamic, static = self._pair(32, 20.0)
@@ -258,42 +261,132 @@ class TestTaylorPath:
         assert np.max(np.abs(stepped - cod_step(dynamic, step, psi, 0.0).values)) <= 1e-13
 
 
+class _Took(Exception):
+    """Raised by a stand-in to name the path :func:`propagate` chose."""
+
+
+def _path_taken(setup, step, t_final):
+    """"eigen" or "step" (cod_step per step): the path propagate takes,
+    found without running it."""
+    def stand_in(name):
+        def took(*args):
+            raise _Took(name)
+        return took
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tdse, "_eigen_propagate", stand_in("eigen"))
+        mp.setattr(tdse, "cod_step", stand_in("step"))
+        with pytest.raises(_Took) as taken:
+            propagate(setup, step, t_final)
+    return str(taken.value)
+
+
+def _on_path(path, setup, step, t_final):
+    """propagate's result, checked to come from ``path``; "step" shuts the
+    eigen path off."""
+    with pytest.MonkeyPatch.context() as mp:
+        if path == "step":
+            mp.setattr(tdse, "_EIGEN_MAX_SIZE", 0)
+        assert _path_taken(setup, step, t_final) == path
+        return propagate(setup, step, t_final)
+
+
 class TestStepMatrix:
-    """Taylor-form runs with at least as many steps as grid points step with
-    the assembled D = P - I; the FFT recurrence on the state is the
-    reference."""
+    """Long enough Taylor-form runs with dt * spectral_radius < 1 apply the
+    step matrix P = p(-i dt H) in H's eigenbasis; the FFT recurrence on the
+    state is the reference."""
 
     @pytest.mark.parametrize("n, length, n_terms, a0", TestTaylorPath.CASES)
-    def test_run_matches_the_fft_recurrence(self, monkeypatch, n, length, n_terms, a0):
-        _, assembled = TestStaticData._pair(n, length, a0)
-        _, recurrence = TestStaticData._pair(n, length, a0)
-        step = PropagatorStep(dt=1e-2, n_terms=n_terms)
+    def test_run_matches_the_fft_recurrence(self, n, length, n_terms, a0):
+        _, static = TestStaticData._pair(n, length, a0)
+        step = PropagatorStep(dt=0.5 / static.spectral_radius, n_terms=n_terms)
         t_final = (n + 5) * step.dt
-        final_a, report_a = propagate(assembled, step, t_final)
-        monkeypatch.setattr(tdse, "_MATRIX_MAX_SIZE", 0)
-        final_b, report_b = propagate(recurrence, step, t_final)
-        assert assembled._step_matrix[0] == (step.dt, n_terms)
-        assert recurrence._step_matrix is None
-        assert np.max(np.abs(final_a.values - final_b.values)) <= 1e-13
-        assert len(report_a.records) == len(report_b.records) == n + 5
-        for ra, rb in zip(report_a.records, report_b.records):
-            assert (ra["step"], ra["t"]) == (rb["step"], rb["t"])
-            assert abs(ra["norm"] - rb["norm"]) <= 1e-13
-            assert abs(ra["drift"] - rb["drift"]) <= 1e-13
-        assert report_a.warnings == report_b.warnings
+        eigen = _on_path("eigen", static, step, t_final)
+        assert len(eigen[1].records) == n + 5
+        _assert_runs_agree(eigen, _on_path("step", static, step, t_final), 1e-13)
 
     @pytest.mark.parametrize("n, length, n_terms, a0", TestTaylorPath.CASES)
     def test_assembled_step_is_dense_taylor_polynomial(self, n, length, n_terms, a0):
+        # one step of W p(-i dt lam) W^H, the step assembled in H's eigenbasis
         _, static = TestStaticData._pair(n, length, a0)
         step = PropagatorStep(dt=1e-2, n_terms=n_terms)
-        propagate(static, step, n * step.dt)
-        _, matrix = static._step_matrix
-        stepped = cod_step(static, step, static.psi0, 0.0).values
-        assert np.array_equal(stepped, static.psi0.values + matrix @ static.psi0.values)
-        assert np.max(np.abs(stepped - _dense_taylor(static, step.dt, n_terms))) <= 1e-12
+        stepped, norms = tdse._eigen_propagate(static, step, 1)
+        assert np.max(np.abs(stepped.values - _dense_taylor(static, step.dt, n_terms))) <= 1e-12
+        assert len(norms) == 1 and abs(norms[0] - stepped.l2_norm()) <= 1e-14
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(4, 32).map(lambda h: 2 * h),
+           a0=st.one_of(st.just(0.0), st.floats(0.1, 2.0), st.floats(-2.0, -0.1)),
+           n_terms=st.integers(1, 6),
+           dt_rho=st.floats(0.05, 0.95),
+           extra_steps=st.integers(0, 64),
+           amplitude=st.floats(0.0, 3.0))
+    def test_generated_runs_match_the_fft_recurrence(self, n, a0, n_terms, dt_rho,
+                                                     extra_steps, amplitude):
+        # a0 = 0 runs the eigen path in real arithmetic, any other a0 in complex
+        grid = Grid.periodic(-10.0, 20.0, n)
+        x = grid.points()
+        psi = normalize(GridFunction(grid, np.exp(-(x - 1.0) ** 2 / 2.0 + 0.5j * x)))
+        setup = TdseSetup(grid, amplitude * np.cos(0.3 * x) ** 2, a0, psi)
+        step = PropagatorStep(dt=dt_rho / setup.spectral_radius, n_terms=n_terms)
+        t_final = (n + extra_steps) * step.dt
+        runs = []
+        for path in ("eigen", "step"):
+            try:
+                runs.append(_on_path(path, setup, step, t_final))
+            except RuntimeError as exc:  # a growing run aborts at the same step
+                runs.append(str(exc).rsplit(" ", 1)[1])
+        if isinstance(runs[0], str) or isinstance(runs[1], str):
+            assert runs[0] == runs[1]
+        else:
+            _assert_runs_agree(*runs, 1e-12)
+
+    @pytest.mark.parametrize("n_terms", [1, 2])
+    def test_growing_run_aborts_at_the_same_step(self, n_terms):
+        # |p|^2 = 1 + theta^2 for N = 1 and 1 + theta^4 / 4 for N = 2: the
+        # norm grows on both paths and must trip the drift check at one step
+        grid = Grid.periodic(-10.0, 20.0, 32)
+        x = grid.points()
+        psi0 = normalize(GridFunction(grid, np.exp(-x ** 2 / 2.0 + 2j * x)))
+        setup = TdseSetup(grid, 0.5 * x ** 2, 0.0, psi0)
+        step = PropagatorStep(dt=0.9 / setup.spectral_radius, n_terms=n_terms)
+        messages = []
+        for path in ("eigen", "step"):
+            with pytest.raises(RuntimeError, match="propagation unstable") as unstable:
+                _on_path(path, setup, step, 4000 * step.dt)
+            messages.append(str(unstable.value))
+        assert messages[0] == messages[1]
+        assert int(messages[0].rsplit(" ", 1)[1]) > 32
+
+    @pytest.mark.parametrize("n, a0, steps, dt_rho, nodes, path", [
+        (32, 0.0, 32, 0.5, None, "eigen"),
+        (32, 0.0, 31, 0.5, None, "step"),      # fewer steps than points
+        (32, 0.0, 64, 1.5, None, "step"),      # dt * rho >= 1
+        (32, 0.0, 64, 0.5, 3, "step"),         # fewer sub-nodes than terms
+        (256, 0.3, 256, 0.5, None, "eigen"),   # complex H: n steps up to 256 points
+        (512, 0.3, 1023, 0.5, None, "step"),   # 2n at 512 points
+        (512, 0.3, 1024, 0.5, None, "eigen"),
+        (512, 0.0, 512, 0.5, None, "eigen"),   # real H: n steps up to 512 points
+        (1024, 0.0, 2047, 0.5, None, "step"),  # 2n at 1024 points
+        (1024, 0.0, 2048, 0.5, None, "eigen"),
+        (1024, 0.3, 4095, 0.5, None, "step"),
+        (2048, 0.0, 8192, 0.5, None, "step"),  # above _EIGEN_MAX_SIZE
+    ])
+    def test_selection_rule(self, n, a0, steps, dt_rho, nodes, path):
+        grid = Grid.periodic(-10.0, 20.0, n)
+        x = grid.points()
+        setup = TdseSetup(grid, 0.5 * x ** 2, a0, normalize(GridFunction(grid, np.exp(-x ** 2))))
+        step = PropagatorStep(dt=dt_rho / setup.spectral_radius, n_terms=4,
+                              quadrature_nodes=nodes)
+        assert _path_taken(setup, step, steps * step.dt) == path
+
+    def test_t_dependent_data_never_take_the_eigen_path(self):
+        dynamic, _ = TestStaticData._pair(16, 10.0)
+        step = PropagatorStep(dt=0.5 / dynamic.spectral_radius, n_terms=4)
+        assert _path_taken(dynamic, step, 64 * step.dt) == "step"
 
     @pytest.mark.parametrize("t_final", [0.1, 0.5])  # 10 steps < 32 points; 50 >= 32
-    def test_propagate_calls_cod_step_once_per_step(self, monkeypatch, t_final):
+    def test_cod_step_runs_once_per_step_off_the_eigen_path(self, monkeypatch, t_final):
         _, static = TestStaticData._pair(32, 20.0)
         calls = []
 
@@ -303,22 +396,9 @@ class TestStepMatrix:
 
         monkeypatch.setattr(tdse, "cod_step", counted)
         _, report = propagate(static, PropagatorStep(dt=1e-2, n_terms=4), t_final)
-        assert calls == [i * 1e-2 for i in range(len(report.records))]
-        assert len(calls) == round(t_final / 1e-2)
-        assert (static._step_matrix is not None) == (t_final == 0.5)
-
-    def test_matrix_is_kept_per_step_and_replaced(self):
-        _, static = TestStaticData._pair(16, 10.0)
-        first, second = PropagatorStep(dt=1e-2, n_terms=4), PropagatorStep(dt=2e-2, n_terms=4)
-        propagate(static, first, 0.2)
-        assert static._step_matrix[0] == (1e-2, 4)
-        # a step D was not built for takes the recurrence
-        reference = TdseSetup(static.grid, static.potential, static.vector_potential,
-                              static.psi0)
-        assert np.array_equal(cod_step(static, second, static.psi0, 0.0).values,
-                              cod_step(reference, second, static.psi0, 0.0).values)
-        propagate(static, second, 0.4)
-        assert static._step_matrix[0] == (2e-2, 4)
+        assert len(report.records) == round(t_final / 1e-2)
+        eigen = t_final == 0.5
+        assert calls == ([] if eigen else [i * 1e-2 for i in range(len(report.records))])
 
 
 class TestStep:
@@ -429,12 +509,13 @@ class TestPropagate:
         setup = TdseSetup(grid, lambda xv, t: np.full_like(xv, 1000.0), ZERO_FIELD, psi0)
         with pytest.raises(RuntimeError, match="propagation unstable"):
             propagate(setup, PropagatorStep(dt=1e-2, n_terms=4), 0.1)
-        # array data: the FFT recurrence for 10 steps, the assembled D for 20
+        # array data: dt * rho >= 1 keeps 10 and 20 steps on the FFT recurrence
         for t_final in (0.1, 0.2):
             setup = TdseSetup(grid, np.full(16, 1000.0), 0.0, psi0)
+            step = PropagatorStep(dt=1e-2, n_terms=4)
+            assert _path_taken(setup, step, t_final) == "step"
             with pytest.raises(RuntimeError, match="propagation unstable"):
-                propagate(setup, PropagatorStep(dt=1e-2, n_terms=4), t_final)
-            assert (setup._step_matrix is not None) == (t_final == 0.2)
+                propagate(setup, step, t_final)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("scale, n_terms, t_final, error, match", [
@@ -450,9 +531,10 @@ class TestPropagate:
         setup = TdseSetup(grid, scale * x ** 2, 0.0,
                           normalize(GridFunction(grid, np.exp(-x ** 2 / 2))))
         step = PropagatorStep(dt=1e-2, n_terms=n_terms)
+        # dt * rho >= 1 keeps even the 100-step runs on the FFT recurrence
+        assert _path_taken(setup, step, t_final) == "step"
         with pytest.raises(error, match=match):
             propagate(setup, step, t_final)
-        assert (setup._step_matrix is not None) == (t_final == 1.0)
         if error is ValueError:  # cod_step alone, on the path propagate took
             with pytest.raises(ValueError, match=match):
                 cod_step(setup, step, setup.psi0, 0.0)

@@ -3,9 +3,14 @@
 Grammar: numeric literals, pi, named variables, sin/cos/exp, the operators
 + - * / ^ and parentheses.  ^ (also accepted as **) is right-associative
 and binds tighter than unary minus, so -2^2 is -4 and 2^3^2 is 512.
+
+Arithmetic on constants alone is done once, at parse time: it runs on
+Python floats, so a constant division by zero (1/0, 0^-1) or overflow
+(10^400) raises :class:`ExpressionError` there, before any evaluation.
 """
 
 import math
+import operator
 import re
 
 import numpy as np
@@ -25,10 +30,40 @@ _CONSTANTS = {"pi": math.pi}
 # Most operations nested in one another: evaluating an expression recurses
 # once per level, so this keeps it well inside Python's recursion limit.
 _MAX_DEPTH = 256
+# per binary operator: its action on two constants, and the evaluator it
+# builds from two operand evaluators otherwise
+_BINARY = {
+    "+": (operator.add, lambda a, b: lambda env: a(env) + b(env)),
+    "-": (operator.sub, lambda a, b: lambda env: a(env) - b(env)),
+    "*": (operator.mul, lambda a, b: lambda env: a(env) * b(env)),
+    "/": (operator.truediv, lambda a, b: lambda env: a(env) / b(env)),
+    "^": (operator.pow, lambda a, b: lambda env: a(env) ** b(env)),
+}
+_BINARY["**"] = _BINARY["^"]
 
 
 class ExpressionError(ValueError):
     """Malformed expression text."""
+
+
+def _constant(value):
+    """Evaluator of a constant; its ``value`` marks it for folding."""
+    fn = lambda env: value
+    fn.value = value
+    return fn
+
+
+def _binary(op: str, pos: int, lhs, rhs):
+    """Evaluator of ``lhs op rhs``, folded to a constant when both are."""
+    fold, build = _BINARY[op]
+    if not (hasattr(lhs, "value") and hasattr(rhs, "value")):
+        return build(lhs, rhs)
+    try:
+        return _constant(fold(lhs.value, rhs.value))
+    except ZeroDivisionError:
+        raise ExpressionError(f"constant {op!r} at position {pos} divides by zero") from None
+    except OverflowError:
+        raise ExpressionError(f"constant {op!r} at position {pos} overflows") from None
 
 
 class Expression:
@@ -98,12 +133,11 @@ class _Parser:
     def expr(self):
         fn, depth = self.term()
         while True:
-            kind, value, _ = self.peek()
+            kind, value, pos = self.peek()
             if kind == "op" and value in "+-":
                 self.take()
                 rhs, rhs_depth = self.term()
-                fn = (lambda a, b: lambda env: a(env) + b(env))(fn, rhs) if value == "+" \
-                    else (lambda a, b: lambda env: a(env) - b(env))(fn, rhs)
+                fn = _binary(value, pos, fn, rhs)
                 depth = max(depth, rhs_depth) + 1
             else:
                 return fn, depth
@@ -111,12 +145,11 @@ class _Parser:
     def term(self):
         fn, depth = self.factor()
         while True:
-            kind, value, _ = self.peek()
+            kind, value, pos = self.peek()
             if kind == "op" and value in "*/":
                 self.take()
                 rhs, rhs_depth = self.factor()
-                fn = (lambda a, b: lambda env: a(env) * b(env))(fn, rhs) if value == "*" \
-                    else (lambda a, b: lambda env: a(env) / b(env))(fn, rhs)
+                fn = _binary(value, pos, fn, rhs)
                 depth = max(depth, rhs_depth) + 1
             else:
                 return fn, depth
@@ -127,24 +160,25 @@ class _Parser:
             self.take()
             inner, depth = self.factor()
             if value == "-":
+                if hasattr(inner, "value"):
+                    return _constant(-inner.value), depth + 1
                 return (lambda env: -inner(env)), depth + 1
             return inner, depth
         return self.power()
 
     def power(self):
         base, depth = self.atom()
-        kind, value, _ = self.peek()
+        kind, value, pos = self.peek()
         if kind == "op" and value in ("^", "**"):
             self.take()
             exponent, exponent_depth = self.factor()
-            return (lambda env: base(env) ** exponent(env)), max(depth, exponent_depth) + 1
+            return _binary(value, pos, base, exponent), max(depth, exponent_depth) + 1
         return base, depth
 
     def atom(self):
         kind, value, pos = self.take()
         if kind == "number":
-            number = float(value)
-            return (lambda env: number), 0
+            return _constant(float(value)), 0
         if kind == "name":
             if value in _FUNCTIONS:
                 func = _FUNCTIONS[value]
@@ -153,8 +187,7 @@ class _Parser:
                 self.expect_op(")")
                 return (lambda env: func(inner(env))), depth + 1
             if value in _CONSTANTS:
-                constant = _CONSTANTS[value]
-                return (lambda env: constant), 0
+                return _constant(_CONSTANTS[value]), 0
             if value in self.variables:
                 name = value
                 self.used.add(name)

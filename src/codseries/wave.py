@@ -9,10 +9,16 @@ The generating field is S(x) + t * R(x)/eps(x); its t = 0 row reproduces
 S exactly and its time derivative is R/eps, which coincides with R for
 eps == 1.
 
-The whole space-time field is stored densely because the cycle map is
-global in time; both axes are capped at 2048 samples.  Real eps, S and R
-give a real field: the series then runs in real arithmetic (real-input
-FFTs along x) and the written imaginary parts are exactly 0.
+G^-1 acts on t alone (with a pointwise 1/eps in x) and V on x alone, so
+term n of the series is (JJ)^n 1 (x) (E D2)^n S + (JJ)^n t (x) (E D2)^n R/eps,
+with J the trapezoid integral from t = 0, E the factor 1/eps and D2 the
+spectral d^2/dx^2.  The generating field and every term are carried as
+these t (x) x factors (rank 2, or 1 when R = 0): a term costs one Nx-point
+FFT pair and two Nt-point integrals per factor, and its dense space-time
+values are formed once, when first read.  The partial sum stays dense.
+Both axes are capped at 2048 samples.  Real eps, S and R give a real
+field: the series then runs in real arithmetic (real-input FFTs along x)
+and the written imaginary parts are exactly 0.
 
 Practical grid note: term n of the series scales like
 (k^2 t^2 / eps)^n / (2n)! per spatial mode, which decays only after the
@@ -64,6 +70,23 @@ class WaveProblem:
             raise ValueError("permittivity must be strictly positive everywhere")
 
 
+class _Factored(GridFunction):
+    """Space-time field sum_i t_factors[i] (x) x_factors[i], from an (r, Nt)
+    and an (r, Nx) stack; its dense values are formed on first read."""
+
+    def __init__(self, grid: tuple, t_factors: np.ndarray, x_factors: np.ndarray):
+        self.grid, self.t_factors, self.x_factors = grid, t_factors, x_factors
+        self._values = None
+
+    @property
+    def values(self) -> np.ndarray:
+        if self._values is None:
+            self._values = np.multiply.outer(self.t_factors[0], self.x_factors[0])
+            for t_factor, x_factor in zip(self.t_factors[1:], self.x_factors[1:]):
+                self._values += np.multiply.outer(t_factor, x_factor)
+        return self._values
+
+
 def build_wave_scheme(problem: WaveProblem, x_grid: Grid, t_grid: Grid) -> CodScheme:
     """Wire a wave problem into a scheme over space-time fields.
 
@@ -71,7 +94,8 @@ def build_wave_scheme(problem: WaveProblem, x_grid: Grid, t_grid: Grid) -> CodSc
     periodically (endpoint excluded) and the t grid must start at 0.
     G = eps d^2/dt^2; G^-1 integrates twice in time (inner plain, 1/eps
     between, outer plain), both integrals from t = 0; V is the spectral
-    d^2/dx^2.
+    d^2/dx^2.  The generating field is factored, and G^-1 and V keep a
+    factored input factored; any other field takes the dense branch.
     """
     if problem.epsilon.grid != x_grid:
         raise ValueError("problem data must be sampled on the given x grid")
@@ -83,7 +107,6 @@ def build_wave_scheme(problem: WaveProblem, x_grid: Grid, t_grid: Grid) -> CodSc
     inv_eps = 1.0 / eps
     minus_ksq = -wavenumbers(x_grid) ** 2
     dt = t_grid.step
-    t_col = t_grid.points()[:, None]
 
     def g_op(f: GridFunction) -> GridFunction:
         # time-independent eps: d/dt(eps d/dt .) == eps * d^2/dt^2, and the
@@ -92,6 +115,9 @@ def build_wave_scheme(problem: WaveProblem, x_grid: Grid, t_grid: Grid) -> CodSc
         return f.with_values(eps[None, :] * second_diff(f.values, dt, axis=0))
 
     def g_inverse(f: GridFunction) -> GridFunction:
+        if isinstance(f, _Factored):
+            inner = cumtrapz_from(f.t_factors, dt, 0, axis=1)
+            return _Factored(f.grid, cumtrapz_from(inner, dt, 0, axis=1), inv_eps * f.x_factors)
         inner = cumtrapz_from(f.values, dt, 0, axis=0)
         # in the cycle map f is the engine's temporary V image; dropping it
         # before the outer integral keeps one field fewer alive per term
@@ -100,12 +126,17 @@ def build_wave_scheme(problem: WaveProblem, x_grid: Grid, t_grid: Grid) -> CodSc
         return GridFunction((t_grid, x_grid), outer)
 
     def v_op(f: GridFunction) -> GridFunction:
+        if isinstance(f, _Factored):
+            return _Factored(f.grid, f.t_factors, spectral_apply(f.x_factors, minus_ksq, (1,)))
         return f.with_values(spectral_apply(f.values, minus_ksq, (1,)))
 
-    generating = GridFunction(
-        (t_grid, x_grid),
-        problem.S.values[None, :] + t_col * (inv_eps * problem.R.values)[None, :],
-    )
+    # S + t R/eps as 1 (x) S, plus t (x) R/eps where R/eps is not all zero
+    r_scaled = inv_eps * problem.R.values
+    t_factors, x_factors = [np.ones(t_grid.count)], [problem.S.values]
+    if np.any(r_scaled):
+        t_factors.append(t_grid.points())
+        x_factors.append(r_scaled)
+    generating = _Factored((t_grid, x_grid), np.array(t_factors), np.array(x_factors))
     sup = generating.sup_norm()
     return CodScheme(
         generating=generating,

@@ -165,6 +165,16 @@ class TestArgumentErrors:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("text, message", [
+        ("1/0", "divides by zero"), ("10^400", "overflows"), ("0^-1", "divides by zero"),
+    ])
+    def test_constant_arithmetic_error_exits_3(self, tmp_path, capsys, text, message):
+        # once an uncaught ZeroDivisionError or OverflowError
+        code = run(["oscillator", "--omega-sq", text, "--out-dir", str(tmp_path / "out")])
+        assert code == 3
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_bad_number(self, tmp_path):
         assert run(["oscillator", "--tol", "abc", "--out-dir", str(tmp_path)]) == 3
 

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -94,9 +95,33 @@ class TestErrors:
         with pytest.raises(ExpressionError):
             evaluate("1+")
 
+    @pytest.mark.parametrize("text, message", [
+        ("1/0", "'/' at position 1 divides by zero"),
+        ("0^-1", "'^' at position 1 divides by zero"),
+        ("10^400", "'^' at position 2 overflows"),
+        ("t+2*(1/(1-1))", "divides by zero"),
+        ("sin(t)-(2**1e4)", "'**' at position 9 overflows"),
+    ])
+    def test_constant_arithmetic_fails_at_parse_time(self, text, message):
+        with pytest.raises(ExpressionError, match=re.escape(message)):
+            parse_expression(text, ("t",))
 
-_TOKENS = ["1", "2.5", ".5", "1e3", "1e", "t", "x", "pi", "sin", "cos", "exp", "tan",
-           "+", "-", "*", "/", "^", "**", "(", ")", " ", "?", "_"]
+
+class TestConstantFolding:
+    def test_folded_constants_keep_their_float_arithmetic(self):
+        expr = parse_expression("t*(2/3)+2^0.5-pi", ("t",))
+        assert expr(t=1.5) == 1.5 * (2.0 / 3.0) + 2.0 ** 0.5 - math.pi
+        assert evaluate("-2^2") == -4.0 and evaluate("(-8)^(1/3)") == (-8.0) ** (1.0 / 3.0)
+
+    def test_variables_keep_numpy_arithmetic(self):
+        # not folded: a variable operand divides by zero to inf, as numpy does
+        with np.errstate(divide="ignore"):
+            assert np.array_equal(evaluate("t/0", t=np.array([1.0, -1.0])),
+                                  [np.inf, -np.inf])
+
+
+_TOKENS = ["0", "1", "2.5", ".5", "1e3", "400", "1e", "t", "x", "pi", "sin", "cos", "exp",
+           "tan", "+", "-", "*", "/", "^", "**", "(", ")", " ", "?", "_"]
 
 
 class TestGeneratedText:
@@ -111,10 +136,8 @@ class TestGeneratedText:
             expr = parse_expression(text, ("t", "x"))
         except ExpressionError:
             return
-        # what parses evaluates without running out of stack; arithmetic on
-        # constants alone runs on Python floats, which raise ArithmeticError
+        # what parses evaluates without running out of stack and without an
+        # ArithmeticError: constant arithmetic is checked at parse time, and
+        # anything involving a variable runs in numpy
         with np.errstate(all="ignore"):
-            try:
-                expr(t=np.linspace(0.0, 1.0, 3), x=np.linspace(-1.0, 1.0, 3))
-            except ArithmeticError:
-                pass
+            expr(t=np.linspace(0.0, 1.0, 3), x=np.linspace(-1.0, 1.0, 3))

@@ -64,6 +64,9 @@ CORPUS = {
                        "--nodes", "3", "--k0", "1", "--dt", "1e-2", "--t-final", "0.1"],
     "wave": ["wave", "--epsilon", "1+0.2*cos(x)", "--x-size", "32", "--t-max", "0.5",
              "--t-size", "51", "--snapshot", "0.2"],
+    # a nonzero R carries every term as two t (x) x factors
+    "wave-velocity": ["wave", "--epsilon", "1+0.2*cos(x)", "--r-init", "0.5*cos(x)",
+                      "--x-size", "32", "--t-max", "0.5", "--t-size", "51", "--snapshot", "0.2"],
 }
 
 # exit codes other than 0: this laplace series stops on max_terms with its
@@ -203,13 +206,23 @@ GOLDEN = {
     },
     'wave': {
         'wave_field.csv':
-            '129a7e3e767c454fa5caabb299a7d5103c2b9b128f48609a38f29e3b461494b4',
+            '703ecf90cbde76431da08b334914040495fed9c7e3a1cb4d386185f5f4d4df78',
         'wave_field.json':
             '069c202f1657adab3b1a232b455c9e8ab63d42871633b9ab1c16094e11cc8b3e',
         'wave_report.json':
-            '54c2eae2cfbad76b4c4017b1ce1a5ef4248629220c85954a87917e6e75032d1e',
+            '0b12f06f492deef189f108ef4b35ac9aa2c4b222459cc9cbf51248d18fa6a2bb',
         'wave_snapshot.csv':
-            'ffe5209a3c3d200247639d098e297fe90bc18f2f28b4f630f92bba7c3f750c2e',
+            '16b922d9a7e21126e1a8fc2763897d6013bb7837c69616b6f2fc264146a8de38',
+    },
+    'wave-velocity': {
+        'wave_field.csv':
+            '48d0cbde9b133e33a318a94e7480a40cbaac0eaa72111643179bfad480b978b2',
+        'wave_field.json':
+            '069c202f1657adab3b1a232b455c9e8ab63d42871633b9ab1c16094e11cc8b3e',
+        'wave_report.json':
+            '6518f70249e0f4a25a2ae07dcd0ec7bf6ff4eff9b600741828416b2785b33346',
+        'wave_snapshot.csv':
+            '33b5b0f3c9121ea278b9a2163876aa457f020ea4da199d63a688369deca754dc',
     },
 }
 

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from codseries import tdse
 from codseries.grids import Grid, GridFunction
@@ -281,6 +281,25 @@ def _path_taken(setup, step, t_final):
     return str(taken.value)
 
 
+def _extended_precision_run(setup, step, n_steps):
+    """The Taylor recurrence psi <- p(-i dt H) psi in long double (FFTs
+    included), with the L2 norm after every step, rounded to float64."""
+    kinetic = setup.kinetic.astype(np.longdouble)
+    potential = setup.potential.astype(np.longdouble)
+    cell = np.longdouble(setup.grid.step)
+    psi = setup.psi0.values.astype(np.clongdouble)
+    norms = []
+    for _ in range(n_steps):
+        term, total = psi, psi.copy()
+        for order in range(1, step.n_terms + 1):
+            h_term = np.fft.ifft(kinetic * np.fft.fft(term)) + potential * term
+            term = np.clongdouble(-1j) * (np.longdouble(step.dt) / order) * h_term
+            total = total + term
+        psi = total
+        norms.append(float(np.sqrt(cell * np.sum(np.abs(psi) ** 2))))
+    return psi.astype(complex), norms
+
+
 def _on_path(path, setup, step, t_final):
     """propagate's result, checked to come from ``path``; "step" shuts the
     eigen path off."""
@@ -321,6 +340,8 @@ class TestStepMatrix:
            dt_rho=st.floats(0.05, 0.95),
            extra_steps=st.integers(0, 64),
            amplitude=st.floats(0.0, 3.0))
+    # |p| = 1.25 on the top modes: 52 steps amplify round-off 1.1e5-fold
+    @example(n=52, a0=0.0, n_terms=1, dt_rho=0.75, extra_steps=0, amplitude=0.0)
     def test_generated_runs_match_the_fft_recurrence(self, n, a0, n_terms, dt_rho,
                                                      extra_steps, amplitude):
         # a0 = 0 runs the eigen path in real arithmetic, any other a0 in complex
@@ -329,17 +350,34 @@ class TestStepMatrix:
         psi = normalize(GridFunction(grid, np.exp(-(x - 1.0) ** 2 / 2.0 + 0.5j * x)))
         setup = TdseSetup(grid, amplitude * np.cos(0.3 * x) ** 2, a0, psi)
         step = PropagatorStep(dt=dt_rho / setup.spectral_radius, n_terms=n_terms)
-        t_final = (n + extra_steps) * step.dt
+        n_steps = n + extra_steps
         runs = []
         for path in ("eigen", "step"):
             try:
-                runs.append(_on_path(path, setup, step, t_final))
+                runs.append(_on_path(path, setup, step, n_steps * step.dt))
             except RuntimeError as exc:  # a growing run aborts at the same step
                 runs.append(str(exc).rsplit(" ", 1)[1])
         if isinstance(runs[0], str) or isinstance(runs[1], str):
             assert runs[0] == runs[1]
-        else:
-            _assert_runs_agree(*runs, 1e-12)
+            return
+        # P = p(-i dt H) is normal (H is Hermitian), so |P^m| = A^m with
+        # A = max_j |p(-i dt lam_j)|.  The round-off either path commits at
+        # step k is amplified by at most A^(n_steps - k) and scales with
+        # |psi_k| <= A^k: the final error is A^n_steps times that of a run
+        # without growing modes, which both paths keep within 1e-12.
+        lam = np.linalg.eigvalsh(_dense_hamiltonian(setup, 0.0))
+        z = -1j * step.dt * lam
+        growth = max(1.0, float(np.max(np.abs(
+            sum(z ** m / math.factorial(m) for m in range(n_terms + 1))))))
+        tol = 1e-12 * growth ** n_steps
+        reference = _extended_precision_run(setup, step, n_steps)
+        for final, report in runs:
+            assert np.max(np.abs(final.values - reference[0])) <= tol
+            assert [r["step"] for r in report.records] == list(range(1, n_steps + 1))
+            for record, norm in zip(report.records, reference[1]):
+                assert abs(record["norm"] - norm) <= tol
+                assert abs(record["drift"] - abs(norm - 1.0)) <= tol
+        assert runs[0][1].warnings == runs[1][1].warnings
 
     @pytest.mark.parametrize("n_terms", [1, 2])
     def test_growing_run_aborts_at_the_same_step(self, n_terms):

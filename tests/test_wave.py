@@ -3,13 +3,16 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from codseries.cli import main
 from codseries.engine import StopPolicy, run_cod
 from codseries.grids import Grid, GridFunction, first_diff
-from codseries.wave import WaveProblem, build_wave_scheme, solve_wave, write_field_csv
+from codseries.wave import (WaveProblem, _Factored, build_wave_scheme, solve_wave,
+                            write_field_csv)
 
 TWO_PI = 2.0 * np.pi
+EPS = np.finfo(float).eps
 
 
 def make_problem(nx, eps_fn, s_fn, r_fn, length=TWO_PI):
@@ -201,6 +204,102 @@ class TestSeriesStructure:
         t_grid = Grid.from_interval(0.0, 3.0, 601)
         field, run = solve_wave(problem, x_grid, t_grid, StopPolicy(tol=1e-10, max_terms=60))
         assert run.stop_reason == "divergence_detected"
+
+
+@st.composite
+def factored_cases(draw):
+    """A wave problem on even Nx in [4, 64] and Nt in [3, 401] with generated
+    positive eps, real or complex S and zero or generated R; the window T
+    puts the cycle map's gain g = T^2/2 * max(1/eps) * k_max^2 in [0.05, 0.5].
+    """
+    nx = 2 * draw(st.integers(2, 32))
+    nt = draw(st.integers(3, 401))
+    samples = lambda lo, hi: np.array(draw(st.lists(st.floats(lo, hi), min_size=nx,
+                                                    max_size=nx)))
+    eps = samples(0.25, 4.0)
+    s = samples(-1.0, 1.0)
+    if draw(st.booleans()):
+        s = s + 1j * samples(-1.0, 1.0)
+    r = samples(-1.0, 1.0) if draw(st.booleans()) else np.zeros(nx)
+    gain = draw(st.floats(0.05, 0.5))
+    x_grid = Grid.periodic(0.0, TWO_PI, nx)
+    k_max = nx / 2.0
+    t_max = np.sqrt(2.0 * gain * float(np.min(eps))) / k_max
+    return x_grid, Grid.from_interval(0.0, t_max, nt), eps, s, r
+
+
+def _scheme(x_grid, t_grid, eps, s, r):
+    problem = WaveProblem(GridFunction(x_grid, eps), GridFunction(x_grid, s),
+                          GridFunction(x_grid, r))
+    return build_wave_scheme(problem, x_grid, t_grid)
+
+
+def _roundoff(x_grid, t_grid):
+    """Relative round-off of one cycle map on one path: a DFT sums Nx
+    products and each of the two cumulative trapezoid sums Nt steps, each
+    rounding with relative error at most eps."""
+    return (x_grid.count + 2 * t_grid.count) * EPS
+
+
+class TestFactoredTerms:
+    """Terms carried as t (x) x factors against the dense branch of the same
+    operators.  Bounds use the map's gain g <= 1/2 in the norm max_t of the
+    l2 norm over x, which bounds the sup norm and is within sqrt(Nx) of it."""
+
+    POLICY = StopPolicy(tol=1e-12, max_terms=60)
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=factored_cases())
+    def test_terms_match_the_dense_map(self, case):
+        x_grid, t_grid, eps, s, r = case
+        scheme = _scheme(x_grid, t_grid, eps, s, r)
+        term = scheme.generating
+        assert isinstance(term, _Factored)
+        assert len(term.t_factors) == (2 if np.any(r) else 1)
+        # both paths round within _roundoff of the image, whose sup is at
+        # most sqrt(Nx) * sup|term| (gain <= 1)
+        for _ in range(4):
+            dense = scheme.g_inverse(scheme.v_op(GridFunction(term.grid, term.values.copy())))
+            term = scheme.cycle_map(term)
+            assert isinstance(term, _Factored)
+            bound = 2.0 * _roundoff(x_grid, t_grid) * np.sqrt(x_grid.count) * (
+                np.max(np.abs(dense.values)) + EPS)
+            assert np.max(np.abs(term.values - dense.values)) <= bound
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=factored_cases())
+    def test_run_matches_a_dense_generating_field(self, case):
+        x_grid, t_grid, eps, s, r = case
+        scheme = _scheme(x_grid, t_grid, eps, s, r)
+        plain = GridFunction(scheme.generating.grid, scheme.generating.values.copy())
+        factored_run = run_cod(scheme, self.POLICY)
+        dense_run = run_cod(dataclasses.replace(scheme, generating=plain), self.POLICY)
+        assert factored_run.terms_used == dense_run.terms_used
+        assert factored_run.stop_reason == dense_run.stop_reason == "converged"
+        # per-term round-off, carried by a map of gain <= 1/2: the errors of
+        # all terms sum to at most twice sqrt(Nx) * sup|psi_g| per path
+        bound = 4.0 * _roundoff(x_grid, t_grid) * x_grid.count * plain.sup_norm()
+        gap = factored_run.partial_sum.values - dense_run.partial_sum.values
+        assert np.max(np.abs(gap)) <= bound
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=factored_cases(), other=factored_cases(),
+           alpha=st.floats(-2.0, 2.0), beta=st.floats(-2.0, 2.0))
+    def test_run_is_linear_in_the_initial_data(self, case, other, alpha, beta):
+        x_grid, t_grid, eps, s, r = case
+        nx = x_grid.count
+        # the second data set is resampled onto the first one's x grid
+        s2, r2 = (np.resize(v, nx) for v in other[3:])
+        runs = [run_cod(_scheme(x_grid, t_grid, eps, s_, r_), self.POLICY).partial_sum
+                for s_, r_ in ((s, r), (s2, r2), (alpha * s + beta * s2, alpha * r + beta * r2))]
+        combo = alpha * runs[0].values + beta * runs[1].values
+        scale = 1.0 + max(abs(alpha), abs(beta)) * sum(run.sup_norm() for run in runs[:2])
+        # each run stops once two terms are below tol * (1 + sup), and the
+        # tail it drops shrinks by g <= 1/2 per term, so it is at most twice
+        # sqrt(Nx) * tol * scale; round-off as in the dense comparison
+        bound = (2.0 * np.sqrt(nx) * self.POLICY.tol
+                 + 8.0 * _roundoff(x_grid, t_grid) * nx) * scale
+        assert np.max(np.abs(runs[2].values - combo)) <= bound
 
 
 class TestCsv:
